@@ -160,16 +160,6 @@ func simRecord(name string, rateM float64) BenchRecord {
 	return BenchRecord{Name: name, Kind: KindSim, Value: rateM, Unit: "Mmatches/s", HigherIsBetter: true}
 }
 
-// SimRecord builds a simulated matching-rate record with the standard
-// regress naming and units; the cluster runner's bench-cell jobs use
-// it so sharded sweeps emit records byte-compatible with RunRegress.
-func SimRecord(name string, rateM float64) BenchRecord { return simRecord(name, rateM) }
-
-// Fingerprint stamps the report's binary identity (Go version, VCS
-// revision/dirty) — exported for report producers outside this
-// package, e.g. the cluster dispatcher's merged reports.
-func (r *BenchReport) Fingerprint() { r.fingerprint() }
-
 func speedupRecord(name string, seqSec, parSec float64) BenchRecord {
 	v := 0.0
 	if parSec > 0 {

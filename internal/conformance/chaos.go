@@ -398,46 +398,6 @@ func chaosWorkload(level mpx.Level, seed int64, i int, mix fault.Config, tcfg *t
 	return st, n, rec, nil
 }
 
-// addStats accumulates the counters of b into a.
-// MergeStats folds b's counters into a — the same aggregation the
-// chaos reports use, exported so sharded runners (internal/cluster)
-// can merge per-shard workload stats identically to an in-process run.
-func MergeStats(a *mpx.Stats, b mpx.Stats) { addStats(a, b) }
-
-func addStats(a *mpx.Stats, b mpx.Stats) {
-	a.Matches += b.Matches
-	a.SimSeconds += b.SimSeconds
-	a.Iterations += b.Iterations
-	a.PostedRecvs += b.PostedRecvs
-	a.Sends += b.Sends
-	a.Retries += b.Retries
-	a.Acks += b.Acks
-	a.Duplicates += b.Duplicates
-	a.Drops += b.Drops
-	a.Corrupt += b.Corrupt
-	a.Invalid += b.Invalid
-	a.StallSteps += b.StallSteps
-	a.ProgressSteps += b.ProgressSteps
-	a.Sheds += b.Sheds
-	a.ShedRejects += b.ShedRejects
-	a.ShedDrops += b.ShedDrops
-	a.ShedRecovered += b.ShedRecovered
-	a.RecvRejects += b.RecvRejects
-	a.Nacks += b.Nacks
-	a.NackRetransmits += b.NackRetransmits
-	a.CreditStalls += b.CreditStalls
-	a.StateTransitions += b.StateTransitions
-	a.SlowDrains += b.SlowDrains
-	a.StreamSends += b.StreamSends
-	a.CrossStreamReleases += b.CrossStreamReleases
-	a.PersistentSends += b.PersistentSends
-	a.PersistentRecvs += b.PersistentRecvs
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheSeals += b.CacheSeals
-	a.CacheInvalidations += b.CacheInvalidations
-}
-
 // RunChaos runs n seeded chaos workloads per semantic level with the
 // given fault mix and returns one report per level. A clean run has
 // empty Failures everywhere; callers asserting full fault coverage
@@ -500,7 +460,7 @@ func runChaos(seed int64, n int, mix fault.Config, workers int, bp bool) []Chaos
 		for i := 0; i < n; i++ {
 			s := &slots[li*n+i]
 			rep.Messages += s.msgs
-			addStats(&rep.Stats, s.stats)
+			rep.Stats.Add(s.stats)
 			if s.err != nil {
 				rep.Failures = append(rep.Failures, ChaosFailure{
 					Level: level, Index: i, Seed: seed, Backpressure: bp, Err: s.err,

@@ -329,8 +329,8 @@ func RunPersistent(seed int64, n int, workers int) []PersistentReport {
 		rep := PersistentReport{Level: level, Workloads: n}
 		for i := 0; i < n; i++ {
 			s := &slots[li*n+i]
-			addStats(&rep.Stats, s.cached)
-			addStats(&rep.NoCacheStats, s.plain)
+			rep.Stats.Add(s.cached)
+			rep.NoCacheStats.Add(s.plain)
 			if s.err != nil {
 				rep.Failures = append(rep.Failures, PersistentFailure{
 					Level: level, Index: i, Seed: seed, Err: s.err,

@@ -69,12 +69,10 @@ func TestPersistentParallelMatchesSerial(t *testing.T) {
 	parallel := RunPersistent(9, 12, 4)
 	for i := range serial {
 		s, p := serial[i], parallel[i]
-		s.Stats.DrainWallSeconds, p.Stats.DrainWallSeconds = 0, 0
-		s.NoCacheStats.DrainWallSeconds, p.NoCacheStats.DrainWallSeconds = 0, 0
 		if len(s.Failures) != 0 || len(p.Failures) != 0 {
 			t.Fatalf("%v: failures in determinism run: %v / %v", s.Level, s.Failures, p.Failures)
 		}
-		if s.Stats != p.Stats || s.NoCacheStats != p.NoCacheStats {
+		if simStats(s.Stats) != simStats(p.Stats) || simStats(s.NoCacheStats) != simStats(p.NoCacheStats) {
 			t.Errorf("%v: serial and parallel runs diverged:\n%+v\n%+v", s.Level, s.Stats, p.Stats)
 		}
 	}

@@ -379,15 +379,6 @@ func (in *Injector) StallGPU(g, steps int) {
 	in.stallUntil[g] = in.step + steps
 }
 
-// SlowGPU manually throttles GPU g's receive path to the configured
-// SlowDrainLimit for the given number of progress steps (tests and
-// scripted slow-consumer scenarios).
-func (in *Injector) SlowGPU(g, steps int) {
-	in.ctr.Slows++
-	in.rec.Instant(g, evSlow, argSteps, int64(steps), 0, 0)
-	in.slowUntil[g] = in.step + steps
-}
-
 // PauseGPU manually halts GPU g (no sends, no drains) for the given
 // number of progress steps.
 func (in *Injector) PauseGPU(g, steps int) {

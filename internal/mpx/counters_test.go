@@ -1,6 +1,7 @@
 package mpx
 
 import (
+	"reflect"
 	"testing"
 
 	"simtmp/internal/envelope"
@@ -126,4 +127,67 @@ func TestResetStats(t *testing.T) {
 	if after.Drops == 0 {
 		t.Log("note: no drops in post-reset window (legal, seed-dependent)")
 	}
+}
+
+// fillStats gives every numeric leaf of v (recursing into nested
+// structs such as Counters) a distinct non-zero value base, base+1, …
+// and returns the next unused value. Values stay small integers, so
+// float sums are exact. A field of any other kind fails the test: Add
+// would have no defined way to merge it.
+func fillStats(t *testing.T, v reflect.Value, path string, base int) int {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(base))
+		case reflect.Uint64:
+			f.SetUint(uint64(base))
+		case reflect.Float64:
+			f.SetFloat(float64(base))
+		case reflect.Struct:
+			base = fillStats(t, f, name+".", base)
+			continue
+		default:
+			t.Fatalf("Stats.%s: unsupported kind %v", name, f.Kind())
+		}
+		base++
+	}
+	return base
+}
+
+// checkStatsSum asserts every numeric leaf of got equals a's plus b's.
+func checkStatsSum(t *testing.T, got, a, b reflect.Value, path string) {
+	t.Helper()
+	for i := 0; i < got.NumField(); i++ {
+		g, x, y := got.Field(i), a.Field(i), b.Field(i)
+		name := path + got.Type().Field(i).Name
+		var ok bool
+		switch g.Kind() {
+		case reflect.Int, reflect.Int64:
+			ok = g.Int() == x.Int()+y.Int()
+		case reflect.Uint64:
+			ok = g.Uint() == x.Uint()+y.Uint()
+		case reflect.Float64:
+			ok = g.Float() == x.Float()+y.Float()
+		case reflect.Struct:
+			checkStatsSum(t, g, x, y, name+".")
+			continue
+		}
+		if !ok {
+			t.Errorf("Stats.Add does not sum %s: got %v, want %v + %v", name, g, x, y)
+		}
+	}
+}
+
+// TestStatsAddSumsEveryField: Add is the one place Stats aggregate, so
+// it must sum every counter — a field added to Stats without a line in
+// Add reads 0 in every merged report (chaos, persistent) and fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	next := fillStats(t, reflect.ValueOf(&a).Elem(), "", 1)
+	fillStats(t, reflect.ValueOf(&b).Elem(), "", next)
+	got := a
+	got.Add(b)
+	checkStatsSum(t, reflect.ValueOf(got), reflect.ValueOf(a), reflect.ValueOf(b), "")
 }

@@ -334,6 +334,64 @@ type Stats struct {
 // platforms and -1 (a compile error) on 32-bit ones.
 var _ = [1]struct{}{}[(^uint(0)>>62)>>1-1]
 
+// Add accumulates every counter of o into s, so per-workload stats
+// merge into one aggregate (sharded suites merge in index order, which
+// keeps the simulated-time sums bit-identical to a sequential run).
+func (s *Stats) Add(o Stats) {
+	s.Matches += o.Matches
+	s.SimSeconds += o.SimSeconds
+	s.Iterations += o.Iterations
+	s.Counters.Add(o.Counters)
+	s.Unmatched += o.Unmatched
+	s.PostedRecvs += o.PostedRecvs
+	s.Sends += o.Sends
+
+	s.BytesMoved += o.BytesMoved
+	s.TransferSeconds += o.TransferSeconds
+	s.EagerMsgs += o.EagerMsgs
+	s.RendezvousMsgs += o.RendezvousMsgs
+	s.PrePostedMsgs += o.PrePostedMsgs
+
+	s.Retries += o.Retries
+	s.Acks += o.Acks
+	s.Duplicates += o.Duplicates
+	s.Drops += o.Drops
+	s.Corrupt += o.Corrupt
+	s.Invalid += o.Invalid
+	s.StallSteps += o.StallSteps
+	s.ProgressSteps += o.ProgressSteps
+
+	s.Drains += o.Drains
+	s.DrainWallSeconds += o.DrainWallSeconds
+	s.DrainAllocs += o.DrainAllocs
+	s.DrainAllocBytes += o.DrainAllocBytes
+
+	s.Sheds += o.Sheds
+	s.ShedRejects += o.ShedRejects
+	s.ShedDrops += o.ShedDrops
+	s.ShedRecovered += o.ShedRecovered
+	s.RecvRejects += o.RecvRejects
+	s.Nacks += o.Nacks
+	s.NackRetransmits += o.NackRetransmits
+	s.CreditStalls += o.CreditStalls
+	s.StateTransitions += o.StateTransitions
+	s.HealthySeconds += o.HealthySeconds
+	s.CongestedSeconds += o.CongestedSeconds
+	s.SheddingSeconds += o.SheddingSeconds
+	s.RecoveringSeconds += o.RecoveringSeconds
+	s.SlowDrains += o.SlowDrains
+
+	s.StreamSends += o.StreamSends
+	s.CrossStreamReleases += o.CrossStreamReleases
+
+	s.PersistentSends += o.PersistentSends
+	s.PersistentRecvs += o.PersistentRecvs
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheSeals += o.CacheSeals
+	s.CacheInvalidations += o.CacheInvalidations
+}
+
 // Rate returns cumulative matches per simulated second.
 func (s Stats) Rate() float64 {
 	if s.SimSeconds <= 0 {

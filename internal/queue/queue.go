@@ -43,9 +43,6 @@ func (q *Queue) Len() int { return q.count }
 // access.
 func (q *Queue) Addr(i int) int { return q.base + i }
 
-// Mem returns the backing memory (for kernels operating on the queue).
-func (q *Queue) Mem() *simt.Memory { return q.mem }
-
 // Push appends a packed header at the tail. It reports an error when
 // the queue is full — the flow-control condition a real receiver must
 // handle.

@@ -117,10 +117,6 @@ func (h *Histogram) Min() float64 { return h.min }
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
 
-// Bounds returns the bucket upper bounds (shared storage; do not
-// mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Counts returns the per-bucket counts, the last entry being the
 // overflow bucket (shared storage; do not mutate).
 func (h *Histogram) Counts() []uint64 { return h.counts }

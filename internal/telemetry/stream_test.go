@@ -280,97 +280,3 @@ func TestPumpZeroAllocWithoutStreamer(t *testing.T) {
 		t.Errorf("Pump allocates %v times per call without a streamer", allocs)
 	}
 }
-
-// TestStreamFlushEmitsPartialChunk: Flush pushes finalized events out
-// below the watermark (the worker-daemon job-boundary case), never
-// emits unfinalized ones, stays byte-compatible with the post-hoc
-// export, and is deterministic when called at deterministic points.
-func TestStreamFlushEmitsPartialChunk(t *testing.T) {
-	run := func(flushEvery int) ([]byte, StreamStats) {
-		var streamed bytes.Buffer
-		// Watermark far above the event volume: without Flush, nothing
-		// would hit the wire until Close.
-		r := New(Config{Enabled: true, Tracks: 2, BufferSize: 1024,
-			Stream: &StreamConfig{W: &streamed, Watermark: 1 << 20}})
-		clock := 0.0
-		for step := 0; step < 50; step++ {
-			clock += 1e-6
-			r.SetClock(clock)
-			for g := 0; g < 2; g++ {
-				r.Span(g, evStreamSpan, clock, 5e-7, argStreamV, int64(step), 0, 0)
-			}
-			r.Pump()
-			if flushEvery > 0 && (step+1)%flushEvery == 0 {
-				if err := r.Stream().Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		st := r.Stream().Stats()
-		if err := r.CloseStream(); err != nil {
-			t.Fatal(err)
-		}
-		return streamed.Bytes(), st
-	}
-
-	noFlush, stNo := run(0)
-	flushed, stFl := run(10)
-	if stNo.Chunks != 0 {
-		t.Errorf("without Flush, %d chunks hit the wire before Close, want 0", stNo.Chunks)
-	}
-	if stFl.Chunks < 4 {
-		t.Errorf("Flush every 10 steps produced only %d pre-Close chunks, want >= 4", stFl.Chunks)
-	}
-	if !bytes.Equal(noFlush, flushed) {
-		t.Fatalf("flushed stream diverged from unflushed stream: %d vs %d bytes", len(flushed), len(noFlush))
-	}
-
-	// Replay determinism: same flush points, same bytes and chunk count.
-	again, stAgain := run(10)
-	if !bytes.Equal(flushed, again) || stFl.Chunks != stAgain.Chunks {
-		t.Fatal("Flush at deterministic points is not deterministic")
-	}
-}
-
-// Flush must not emit events the clock has not passed: a flush right
-// after recording (before any SetClock advance finalizes the events)
-// writes nothing.
-func TestStreamFlushHoldsPendingEvents(t *testing.T) {
-	var streamed bytes.Buffer
-	r := New(Config{Enabled: true, BufferSize: 256,
-		Stream: &StreamConfig{W: &streamed, Watermark: 1}})
-	r.SetClock(1e-6)
-	r.InstantAt(0, evStreamInst, 2e-6, 0, 0, 0, 0)
-	r.Pump()
-	if err := r.Stream().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Stream().Stats().Events; got != 0 {
-		t.Fatalf("Flush emitted %d unfinalized events, want 0", got)
-	}
-	r.SetClock(3e-6) // clock passes the event: now it is final
-	if err := r.Stream().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Stream().Stats().Events; got != 1 {
-		t.Fatalf("after the clock passed, Flush emitted %d events, want 1", got)
-	}
-	if err := r.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Flush on a nil streamer and after Close are both safe no-ops.
-func TestStreamFlushNilAndClosed(t *testing.T) {
-	var s *Streamer
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := New(Config{Enabled: true, Stream: &StreamConfig{W: io.Discard}})
-	if err := r.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Stream().Flush(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -41,7 +41,6 @@ import (
 
 	"simtmp/internal/arch"
 	"simtmp/internal/bench"
-	"simtmp/internal/cluster"
 	"simtmp/internal/conformance"
 	"simtmp/internal/envelope"
 	"simtmp/internal/fault"
@@ -608,56 +607,3 @@ func printAblations(w io.Writer) {
 	bench.PrintAblationWildcardHash(w, bench.AblationWildcardHash())
 	bench.PrintAblationWindow(w, bench.AblationWindow())
 }
-
-// Distributed cluster runner (cmd/mpxd + cmd/mpxcluster): a dispatcher
-// shards seeded sweeps — bench cells, conformance fleets, soak
-// profiles — over worker daemons speaking the checksummed frame
-// protocol on real TCP (or the in-memory loopback). Jobs are pure
-// functions of their specs, so sharded and in-process runs merge to
-// byte-identical reports.
-type (
-	// ClusterDispatcher owns job state, worker liveness and the journal.
-	ClusterDispatcher = cluster.Dispatcher
-	// ClusterDispatcherConfig parameterizes a dispatcher.
-	ClusterDispatcherConfig = cluster.DispatcherConfig
-	// ClusterWorker is one connected worker daemon.
-	ClusterWorker = cluster.Worker
-	// ClusterWorkerConfig parameterizes a worker daemon.
-	ClusterWorkerConfig = cluster.WorkerConfig
-	// ClusterJobSpec is one pure, deterministic unit of work.
-	ClusterJobSpec = cluster.JobSpec
-	// ClusterJobResult is a job's typed outcome.
-	ClusterJobResult = cluster.JobResult
-	// ClusterReport is a job set's merged, canonically renderable outcome.
-	ClusterReport = cluster.MergedReport
-	// ClusterStatus is the dispatcher's observable state.
-	ClusterStatus = cluster.Status
-	// ClusterTransport abstracts the byte fabric (TCP or loopback).
-	ClusterTransport = cluster.Transport
-	// ClusterTCP is the real-socket fabric.
-	ClusterTCP = cluster.TCPTransport
-	// ClusterLoopback is the in-memory fabric tests and CI use.
-	ClusterLoopback = cluster.Loopback
-)
-
-var (
-	// NewClusterDispatcher starts a dispatcher on a transport.
-	NewClusterDispatcher = cluster.NewDispatcher
-	// StartClusterWorker dials a dispatcher and serves assignments.
-	StartClusterWorker = cluster.StartWorker
-	// NewClusterLoopback builds an empty in-memory fabric.
-	NewClusterLoopback = cluster.NewLoopback
-	// ClusterBenchJobs defines one job per named bench cell.
-	ClusterBenchJobs = cluster.BenchSweepJobs
-	// ClusterChaosJobs shards a seeded chaos fleet into jobs.
-	ClusterChaosJobs = cluster.ChaosFleetJobs
-	// ClusterPersistentJobs shards the persistent differential suite.
-	ClusterPersistentJobs = cluster.PersistentFleetJobs
-	// ClusterSoakJobs defines one job per tracked soak profile.
-	ClusterSoakJobs = cluster.SoakJobs
-	// RunClusterLocal executes a job set in-process — the reference arm
-	// sharded runs must match byte-for-byte.
-	RunClusterLocal = cluster.RunLocal
-	// SubmitClusterJobs submits a job set to a dispatcher over the wire.
-	SubmitClusterJobs = cluster.SubmitJobs
-)
