@@ -11,74 +11,76 @@ import (
 	"io"
 	"os"
 
-	"simtmp"
+	"simtmp/internal/bench"
+	"simtmp/internal/conformance"
+	"simtmp/internal/telemetry"
 )
 
 // traceReport prints the trace-derived statistics sections, the cheap
 // subset that smoke tests exercise.
 func traceReport(w io.Writer) {
-	simtmp.PrintTableI(w, simtmp.TableI(1))
+	bench.PrintTableI(w, bench.TableI(1))
 	fmt.Fprintln(w)
-	simtmp.PrintFigure2(w, simtmp.Figure2(1))
+	bench.PrintFigure2(w, bench.Figure2(1))
 	fmt.Fprintln(w)
-	simtmp.PrintFigure6a(w, simtmp.Figure6a(1))
+	bench.PrintFigure6a(w, bench.Figure6a(1))
 	fmt.Fprintln(w)
-	simtmp.PrintAppSizes(w, simtmp.AppSizes(1))
+	bench.PrintAppSizes(w, bench.AppSizes(1))
 	fmt.Fprintln(w)
-	tab2 := simtmp.TableII()
-	simtmp.PrintTableII(w, tab2)
+	tab2 := bench.TableII()
+	bench.PrintTableII(w, tab2)
 	fmt.Fprintln(w)
-	simtmp.ChartTableII(w, tab2)
+	bench.ChartTableII(w, tab2)
 }
 
 // fullReport prints the complete reproduction.
 func fullReport(w io.Writer) {
-	simtmp.PrintTableI(w, simtmp.TableI(1))
+	bench.PrintTableI(w, bench.TableI(1))
 	fmt.Fprintln(w)
-	simtmp.PrintFigure2(w, simtmp.Figure2(1))
+	bench.PrintFigure2(w, bench.Figure2(1))
 	fmt.Fprintln(w)
-	simtmp.PrintFigure6a(w, simtmp.Figure6a(1))
+	bench.PrintFigure6a(w, bench.Figure6a(1))
 	fmt.Fprintln(w)
-	simtmp.PrintAppSizes(w, simtmp.AppSizes(1))
+	bench.PrintAppSizes(w, bench.AppSizes(1))
 	fmt.Fprintln(w)
-	simtmp.PrintCPUReference(w, simtmp.CPUReference())
+	bench.PrintCPUReference(w, bench.CPUReference())
 	fmt.Fprintln(w)
-	fig4 := simtmp.Figure4()
-	simtmp.PrintFigure4(w, fig4)
+	fig4 := bench.Figure4()
+	bench.PrintFigure4(w, fig4)
 	fmt.Fprintln(w)
-	simtmp.ChartFigure4(w, fig4)
+	bench.ChartFigure4(w, fig4)
 	fmt.Fprintln(w)
-	fig5 := simtmp.Figure5()
-	simtmp.PrintFigure5(w, fig5)
+	fig5 := bench.Figure5()
+	bench.PrintFigure5(w, fig5)
 	fmt.Fprintln(w)
-	simtmp.ChartFigure5(w, fig5)
-	overK, overM := simtmp.Figure5Speedups()
+	bench.ChartFigure5(w, fig5)
+	overK, overM := bench.Figure5Speedups()
 	fmt.Fprintf(w, "average Pascal speedup: %.2fx over K80 (paper: 2.12x), %.2fx over M40 (paper: 1.56x)\n\n", overK, overM)
-	fig6b := simtmp.Figure6b()
-	simtmp.PrintFigure6b(w, fig6b)
+	fig6b := bench.Figure6b()
+	bench.PrintFigure6b(w, fig6b)
 	fmt.Fprintln(w)
-	simtmp.ChartFigure6b(w, fig6b)
+	bench.ChartFigure6b(w, fig6b)
 	fmt.Fprintln(w)
-	tab2 := simtmp.TableII()
-	simtmp.PrintTableII(w, tab2)
+	tab2 := bench.TableII()
+	bench.PrintTableII(w, tab2)
 	fmt.Fprintln(w)
-	simtmp.ChartTableII(w, tab2)
+	bench.ChartTableII(w, tab2)
 	fmt.Fprintln(w)
-	simtmp.PrintStreamScaling(w, simtmp.StreamScaling())
+	bench.PrintStreamScaling(w, bench.StreamScaling())
 	fmt.Fprintln(w)
-	simtmp.PrintApplicability(w, simtmp.Applicability(1))
+	bench.PrintApplicability(w, bench.Applicability(1))
 	fmt.Fprintln(w)
-	simtmp.PrintStreaming(w, simtmp.Streaming())
+	bench.PrintStreaming(w, bench.Streaming())
 	fmt.Fprintln(w)
-	simtmp.PrintMessageSizes(w, simtmp.MessageSizes())
+	bench.PrintMessageSizes(w, bench.MessageSizes())
 	fmt.Fprintln(w)
-	simtmp.PrintSMSweep(w, simtmp.SMSweep())
+	bench.PrintSMSweep(w, bench.SMSweep())
 	fmt.Fprintln(w)
-	simtmp.PrintEndpoints(w, simtmp.Endpoints())
+	bench.PrintEndpoints(w, bench.Endpoints())
 	fmt.Fprintln(w)
-	simtmp.PrintCommParallel(w, simtmp.CommParallel())
+	bench.PrintCommParallel(w, bench.CommParallel())
 	fmt.Fprintln(w)
-	simtmp.PrintAblations(w)
+	bench.PrintAblations(w)
 }
 
 // run is the testable entry point; it returns the process exit code.
@@ -86,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	traceOnly := fs.Bool("trace-only", false, "print only the trace-statistics sections (quick)")
-	var trace simtmp.TraceFlags
+	var trace telemetry.CLIFlags
 	trace.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if trace.Active() {
-		return trace.Run(stdout, stderr, "experiments", func(cfg simtmp.TelemetryConfig) (*simtmp.TelemetryRecorder, error) {
-			return simtmp.RunChaosTrace(trace.Seed, cfg)
+		return trace.Run(stdout, stderr, "experiments", func(cfg telemetry.Config) (*telemetry.Recorder, error) {
+			return conformance.RunChaosTrace(trace.Seed, cfg)
 		})
 	}
 	fmt.Fprintln(stdout, "Reproduction report: Klenk et al., IPDPS 2017")

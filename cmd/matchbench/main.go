@@ -13,7 +13,9 @@ import (
 	"io"
 	"os"
 
-	"simtmp"
+	"simtmp/internal/bench"
+	"simtmp/internal/conformance"
+	"simtmp/internal/telemetry"
 )
 
 // section is one runnable experiment.
@@ -28,7 +30,7 @@ func sections() []section {
 	csvOr := func(rows any, print func(io.Writer)) func(w io.Writer, csv bool) error {
 		return func(w io.Writer, csv bool) error {
 			if csv {
-				return simtmp.WriteCSV(w, rows)
+				return bench.WriteCSV(w, rows)
 			}
 			print(w)
 			return nil
@@ -36,80 +38,80 @@ func sections() []section {
 	}
 	return []section{
 		{"fig4", "Figure 4: single-CTA matrix matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure4()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintFigure4(w, rows) })(w, csv)
+			rows := bench.Figure4()
+			return csvOr(rows, func(w io.Writer) { bench.PrintFigure4(w, rows) })(w, csv)
 		}},
 		{"fig5", "Figure 5: rank-partitioned matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure5()
+			rows := bench.Figure5()
 			if csv {
-				return simtmp.WriteCSV(w, rows)
+				return bench.WriteCSV(w, rows)
 			}
-			simtmp.PrintFigure5(w, rows)
-			overK, overM := simtmp.Figure5Speedups()
+			bench.PrintFigure5(w, rows)
+			overK, overM := bench.Figure5Speedups()
 			fmt.Fprintf(w, "average Pascal speedup: %.2fx over K80 (paper: 2.12x), %.2fx over M40 (paper: 1.56x)\n", overK, overM)
 			return nil
 		}},
 		{"fig6b", "Figure 6b: hash-table matching rate", func(w io.Writer, csv bool) error {
-			rows := simtmp.Figure6b()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintFigure6b(w, rows) })(w, csv)
+			rows := bench.Figure6b()
+			return csvOr(rows, func(w io.Writer) { bench.PrintFigure6b(w, rows) })(w, csv)
 		}},
 		{"table2", "Table II: relaxation summary", func(w io.Writer, csv bool) error {
-			rows := simtmp.TableII()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintTableII(w, rows) })(w, csv)
+			rows := bench.TableII()
+			return csvOr(rows, func(w io.Writer) { bench.PrintTableII(w, rows) })(w, csv)
 		}},
 		{"cpu", "CPU matchers: list baseline vs hash bins (host wall-clock)", func(w io.Writer, csv bool) error {
-			rows := simtmp.CPUReference()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintCPUReference(w, rows) })(w, csv)
+			rows := bench.CPUReference()
+			return csvOr(rows, func(w io.Writer) { bench.PrintCPUReference(w, rows) })(w, csv)
 		}},
 		{"applicability", "per-application engine applicability matrix", func(w io.Writer, csv bool) error {
-			rows := simtmp.Applicability(1)
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintApplicability(w, rows) })(w, csv)
+			rows := bench.Applicability(1)
+			return csvOr(rows, func(w io.Writer) { bench.PrintApplicability(w, rows) })(w, csv)
 		}},
 		{"stream", "sustained-load dynamics (offered vs delivered)", func(w io.Writer, csv bool) error {
-			rows := simtmp.Streaming()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintStreaming(w, rows) })(w, csv)
+			rows := bench.Streaming()
+			return csvOr(rows, func(w io.Writer) { bench.PrintStreaming(w, rows) })(w, csv)
 		}},
 		{"msgsize", "message-size sweep (protocol + bandwidth)", func(w io.Writer, csv bool) error {
-			rows := simtmp.MessageSizes()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintMessageSizes(w, rows) })(w, csv)
+			rows := bench.MessageSizes()
+			return csvOr(rows, func(w io.Writer) { bench.PrintMessageSizes(w, rows) })(w, csv)
 		}},
 		{"smsweep", "multi-SM scaling of the communication kernel", func(w io.Writer, csv bool) error {
-			rows := simtmp.SMSweep()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintSMSweep(w, rows) })(w, csv)
+			rows := bench.SMSweep()
+			return csvOr(rows, func(w io.Writer) { bench.PrintSMSweep(w, rows) })(w, csv)
 		}},
 		{"endpoints", "CTA-endpoint scaling (the paper's motivation)", func(w io.Writer, csv bool) error {
-			rows := simtmp.Endpoints()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintEndpoints(w, rows) })(w, csv)
+			rows := bench.Endpoints()
+			return csvOr(rows, func(w io.Writer) { bench.PrintEndpoints(w, rows) })(w, csv)
 		}},
 		{"commparallel", "communicator-level parallelism (§VI top level)", func(w io.Writer, csv bool) error {
-			rows := simtmp.CommParallel()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintCommParallel(w, rows) })(w, csv)
+			rows := bench.CommParallel()
+			return csvOr(rows, func(w io.Writer) { bench.PrintCommParallel(w, rows) })(w, csv)
 		}},
 		{"streams", "MPIX stream scaling: stream-concurrent engine vs full-MPI matrix", func(w io.Writer, csv bool) error {
-			rows := simtmp.StreamScaling()
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintStreamScaling(w, rows) })(w, csv)
+			rows := bench.StreamScaling()
+			return csvOr(rows, func(w io.Writer) { bench.PrintStreamScaling(w, rows) })(w, csv)
 		}},
 		{"chaos", "chaos conformance: exactly-once delivery under fault injection", func(w io.Writer, csv bool) error {
-			rows := simtmp.Chaos(1, 250)
-			return csvOr(rows, func(w io.Writer) { simtmp.PrintChaos(w, rows) })(w, csv)
+			rows := bench.Chaos(1, 250)
+			return csvOr(rows, func(w io.Writer) { bench.PrintChaos(w, rows) })(w, csv)
 		}},
 		{"ablation", "ablation studies (compaction, fraction, order, hash, wildcards, window)", func(w io.Writer, csv bool) error {
 			if csv {
 				for _, rows := range []any{
-					simtmp.AblationCompaction(),
-					simtmp.AblationFraction(),
-					simtmp.OrderSensitivity(),
-					simtmp.HashAblation(),
-					simtmp.AblationWildcardHash(),
-					simtmp.AblationWindow(),
+					bench.AblationCompaction(),
+					bench.AblationMatchFraction(),
+					bench.OrderSensitivity(),
+					bench.HashAblation(),
+					bench.AblationWildcardHash(),
+					bench.AblationWindow(),
 				} {
-					if err := simtmp.WriteCSV(w, rows); err != nil {
+					if err := bench.WriteCSV(w, rows); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
-			simtmp.PrintAblations(w)
+			bench.PrintAblations(w)
 			return nil
 		}},
 	}
@@ -137,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	soakUncap := fs.Bool("soak.uncap", false, "with -soak: strip the overload profiles' queue caps (gate-validation hook; a capped baseline must fail)")
 	persistent := fs.Bool("persistent", false, "run the persistent-channel sweep (first-iteration cost, steady-state re-fire rate, cache hit rate)")
 	persistNoCache := fs.Bool("persist.nocache", false, "with -persistent or -regress: disable the seal cache (gate-validation hook; a cached baseline must fail)")
-	var trace simtmp.TraceFlags
+	var trace telemetry.CLIFlags
 	trace.Register(fs)
 
 	secs := sections()
@@ -163,8 +165,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 	if trace.Active() {
-		return trace.Run(stdout, stderr, "matchbench", func(cfg simtmp.TelemetryConfig) (*simtmp.TelemetryRecorder, error) {
-			return simtmp.RunChaosTrace(trace.Seed, cfg)
+		return trace.Run(stdout, stderr, "matchbench", func(cfg telemetry.Config) (*telemetry.Recorder, error) {
+			return conformance.RunChaosTrace(trace.Seed, cfg)
 		})
 	}
 
@@ -198,14 +200,14 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 		fmt.Fprintln(stderr, "matchbench: refusing to bless a nocache run as a baseline; drop -persist.nocache")
 		return 2
 	}
-	rep := simtmp.RunRegressOpt(0, persistNoCache)
-	base, path, err := simtmp.LoadLatestBenchBaseline(dir)
+	rep := bench.RunRegress(0, persistNoCache)
+	base, path, err := bench.LoadLatestBaseline(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		if !write {
 			fmt.Fprintf(stderr, "matchbench: no BENCH_*.json baseline in %s (rerun with -regress.write to create one)\n", dir)
 			return 1
 		}
-		p, werr := simtmp.WriteBenchBaseline(dir, rep)
+		p, werr := bench.WriteBaseline(dir, rep)
 		if werr != nil {
 			fmt.Fprintln(stderr, "matchbench:", werr)
 			return 1
@@ -217,10 +219,10 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	regs := simtmp.CompareBench(base, rep, tol, wall)
-	simtmp.PrintRegress(stdout, rep, path, tol, regs)
+	regs := bench.Compare(base, rep, tol, wall)
+	bench.PrintRegress(stdout, rep, path, tol, regs)
 	if write {
-		p, werr := simtmp.WriteBenchBaseline(dir, rep)
+		p, werr := bench.WriteBaseline(dir, rep)
 		if werr != nil {
 			fmt.Fprintln(stderr, "matchbench:", werr)
 			return 1
@@ -238,19 +240,19 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 // (full-engine match + seal) cost, the steady-state O(1) re-fire rate,
 // the cache hit rate and the speedup over matching every iteration.
 func runPersistent(stdout, stderr io.Writer, csv, nocache bool) int {
-	rows, err := simtmp.PersistSweep(nocache)
+	rows, err := bench.PersistSweep(nocache)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
 	if csv {
-		if err := simtmp.WriteCSV(stdout, rows); err != nil {
+		if err := bench.WriteCSV(stdout, rows); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
 		return 0
 	}
-	simtmp.PrintPersistSweep(stdout, rows)
+	bench.PrintPersistSweep(stdout, rows)
 	return 0
 }
 
@@ -280,15 +282,15 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 		fmt.Fprintln(stderr, "matchbench: refusing to bless an uncapped run as a baseline; drop -soak.uncap")
 		return 2
 	}
-	results, err := simtmp.RunSoakProfiles(0, o.messages, o.seed, o.uncap)
+	results, err := bench.RunSoak(0, o.messages, o.seed, o.uncap)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	recs := simtmp.SoakBenchRecords(results, o.inflate)
+	recs := bench.SoakRecords(results, o.inflate)
 
 	if o.csv {
-		if err := simtmp.WriteCSV(stdout, recs); err != nil {
+		if err := bench.WriteCSV(stdout, recs); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
@@ -315,25 +317,25 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 	}
 
 	if o.regress {
-		base, path, err := simtmp.LoadLatestBenchBaseline(o.dir)
+		base, path, err := bench.LoadLatestBaseline(o.dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
-		soakBase := simtmp.SoakOnlyBaseline(base)
+		soakBase := bench.SoakOnlyBaseline(base)
 		if len(soakBase.Records) == 0 {
 			fmt.Fprintf(stderr, "matchbench: baseline %s has no soak/* records (rerun with -soak.write to add them)\n", path)
 			return 1
 		}
-		cur := simtmp.BenchReport{Records: recs}
-		regs := simtmp.CompareBench(soakBase, cur, o.tol, false)
-		simtmp.PrintRegress(stdout, cur, path, o.tol, regs)
+		cur := bench.BenchReport{Records: recs}
+		regs := bench.Compare(soakBase, cur, o.tol, false)
+		bench.PrintRegress(stdout, cur, path, o.tol, regs)
 		if len(regs) > 0 {
 			code = 1
 		}
 	}
 	if o.write {
-		p, err := simtmp.MergeSoakBaseline(o.dir, recs)
+		p, err := bench.MergeSoakBaseline(o.dir, recs)
 		if err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1

@@ -12,8 +12,9 @@ import (
 	"io"
 	"os"
 
-	"simtmp"
 	"simtmp/internal/apps"
+	"simtmp/internal/bench"
+	"simtmp/internal/trace"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		tr, err := simtmp.ParseTrace(f)
+		tr, err := trace.Parse(f)
 		if err != nil {
 			return err
 		}
@@ -78,22 +79,22 @@ func run(args []string, w io.Writer) error {
 
 	ran := false
 	if *table1 || *all {
-		simtmp.PrintTableI(w, simtmp.TableI(*seed))
+		bench.PrintTableI(w, bench.TableI(*seed))
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *fig2 || *all {
-		simtmp.PrintFigure2(w, simtmp.Figure2(*seed))
+		bench.PrintFigure2(w, bench.Figure2(*seed))
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *fig6a || *all {
-		simtmp.PrintFigure6a(w, simtmp.Figure6a(*seed))
+		bench.PrintFigure6a(w, bench.Figure6a(*seed))
 		fmt.Fprintln(w)
 		ran = true
 	}
 	if *sizes || *all {
-		simtmp.PrintAppSizes(w, simtmp.AppSizes(*seed))
+		bench.PrintAppSizes(w, bench.AppSizes(*seed))
 		fmt.Fprintln(w)
 		ran = true
 	}
@@ -103,8 +104,8 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-func printStats(w io.Writer, tr *simtmp.Trace) {
-	s := simtmp.AnalyzeTrace(tr)
+func printStats(w io.Writer, tr *trace.Trace) {
+	s := trace.Analyze(tr)
 	fmt.Fprintf(w, "app %s: %d ranks, %d sends, %d recvs\n", s.App, s.Ranks, s.Sends, s.Recvs)
 	fmt.Fprintf(w, "wildcards: src=%d tag=%d; communicators=%d\n", s.SrcWildcardRecvs, s.TagWildcardRecvs, s.Communicators)
 	fmt.Fprintf(w, "peers/rank: %v\n", s.PeersPerRank)

@@ -30,7 +30,7 @@ func ExampleRuntime_Endpoint() {
 	stSend, _ := src.Open(3) // ordering context 3 on GPU 0
 	stRecv, _ := dst.Open(3) // same context id on GPU 1
 	stSend.Send(1, 42, 0, []byte("stream hello"))
-	src.Send(1, 42, 0, []byte("default hello")) // default stream: separate context
+	src.Default().Send(1, 42, 0, []byte("default hello")) // default stream: separate context
 
 	recv, _ := stRecv.PostRecv(0, 42, 0) // matches only stream-3 sends
 	rt.Drain(100)

@@ -236,6 +236,16 @@ func PrintAblationWindow(w io.Writer, rows []WindowRow) {
 	}
 }
 
+// PrintAblations renders every ablation study in report order.
+func PrintAblations(w io.Writer) {
+	PrintAblationCompaction(w, AblationCompaction())
+	PrintAblationMatchFraction(w, AblationMatchFraction())
+	PrintOrderSensitivity(w, OrderSensitivity())
+	PrintHashAblation(w, HashAblation())
+	PrintAblationWildcardHash(w, AblationWildcardHash())
+	PrintAblationWindow(w, AblationWindow())
+}
+
 // CommParRow reports the communicator-parallelism experiment (§VI's
 // "top level" of parallelism, no relaxation needed).
 type CommParRow struct {

@@ -132,6 +132,51 @@ func plainHaloIter(rt *mpx.Runtime, gpus int, payload []byte) error {
 	return nil
 }
 
+// plainHaloUs runs the engine-every-iteration reference on a fresh
+// runtime at level: one warm-up plainHaloIter, then iters-1 measured
+// ones, preceded every churnPeriod-th by churnInject when churn is
+// set. It returns the steady-state simulated µs per iteration.
+func plainHaloUs(level mpx.Level, gpus, payload, iters int, churn bool) (float64, error) {
+	rt := mpx.New(mpx.Config{Level: level, GPUs: gpus})
+	buf := make([]byte, payload)
+	if err := plainHaloIter(rt, gpus, buf); err != nil {
+		return 0, err
+	}
+	rt.ResetStats()
+	for k := 1; k < iters; k++ {
+		if churn && k%churnPeriod == 0 {
+			if err := churnInject(rt); err != nil {
+				return 0, err
+			}
+		}
+		if err := plainHaloIter(rt, gpus, buf); err != nil {
+			return 0, err
+		}
+	}
+	return rt.Stats().SimSeconds / float64(iters-1) * 1e6, nil
+}
+
+// steady fills the steady-state fields from the stats of the iters-1
+// iterations after the first.
+func (res *PersistResult) steady(st mpx.Stats, iters int) {
+	res.RefireUs = st.SimSeconds / float64(iters-1) * 1e6
+	if st.SimSeconds > 0 {
+		res.RefireRateM = float64(st.Matches) / st.SimSeconds / 1e6
+	}
+	if total := st.CacheHits + st.CacheMisses; total > 0 {
+		res.HitRate = float64(st.CacheHits) / float64(total)
+	}
+	res.Invalidations = st.CacheInvalidations
+}
+
+// speedup sets Speedup against the engine-every-iteration reference's
+// steady-state µs per iteration.
+func (res *PersistResult) speedup(plainUs float64) {
+	if res.RefireUs > 0 {
+		res.Speedup = plainUs / res.RefireUs
+	}
+}
+
 // PersistHalo runs the halo profile at one payload size: a persistent
 // run (first iteration metered separately, then steady state) against
 // a plain-post run on the same hash-engine runtime configuration.
@@ -156,34 +201,13 @@ func PersistHalo(payload, iters int, nocache bool) (PersistResult, error) {
 			return res, err
 		}
 	}
-	st := rt.Stats()
-	steady := float64(iters - 1)
-	res.RefireUs = st.SimSeconds / steady * 1e6
-	if st.SimSeconds > 0 {
-		res.RefireRateM = float64(st.Matches) / st.SimSeconds / 1e6
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		res.HitRate = float64(st.CacheHits) / float64(total)
-	}
-	res.Invalidations = st.CacheInvalidations
+	res.steady(rt.Stats(), iters)
 
-	// Engine-every-iteration reference: same runtime config, plain
-	// posts, one warm-up iteration then the same steady-state window.
-	prt := mpx.New(mpx.Config{Level: mpx.Unordered, GPUs: gpus})
-	pbuf := make([]byte, payload)
-	if err := plainHaloIter(prt, gpus, pbuf); err != nil {
+	plainUs, err := plainHaloUs(mpx.Unordered, gpus, payload, iters, false)
+	if err != nil {
 		return res, err
 	}
-	prt.ResetStats()
-	for k := 1; k < iters; k++ {
-		if err := plainHaloIter(prt, gpus, pbuf); err != nil {
-			return res, err
-		}
-	}
-	plainUs := prt.Stats().SimSeconds / steady * 1e6
-	if res.RefireUs > 0 {
-		res.Speedup = plainUs / res.RefireUs
-	}
+	res.speedup(plainUs)
 
 	// Zero-allocation contract of the re-fire path, measured on a warm
 	// runtime (pools populated, scratch at capacity).
@@ -226,16 +250,7 @@ func PersistCollective(iters int, nocache bool) (PersistResult, error) {
 			return res, err
 		}
 	}
-	st := rt.Stats()
-	steady := float64(iters - 1)
-	res.RefireUs = st.SimSeconds / steady * 1e6
-	if st.SimSeconds > 0 {
-		res.RefireRateM = float64(st.Matches) / st.SimSeconds / 1e6
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		res.HitRate = float64(st.CacheHits) / float64(total)
-	}
-	res.Invalidations = st.CacheInvalidations
+	res.steady(rt.Stats(), iters)
 
 	prt := mpx.New(mpx.Config{Level: mpx.Unordered, GPUs: gpus})
 	pc, err := coll.New(prt, 0, 100)
@@ -251,23 +266,35 @@ func PersistCollective(iters int, nocache bool) (PersistResult, error) {
 			return res, err
 		}
 	}
-	plainUs := prt.Stats().SimSeconds / steady * 1e6
-	if res.RefireUs > 0 {
-		res.Speedup = plainUs / res.RefireUs
-	}
+	res.speedup(prt.Stats().SimSeconds / float64(iters-1) * 1e6)
 	return res, nil
 }
 
-// PersistChurn runs halo traffic with a plain wildcard receive plus
-// matching send injected every churnPeriod iterations — each injection
-// unseals the targeted channel's (comm, tag) shadow, so the profile
-// measures invalidation cost and re-seal recovery, not the clean
-// steady state. FullMPI level: wildcards must be legal.
+// churnPeriod is how often (in iterations) the churn profile injects a
+// plain wildcard receive plus its matching send.
+const churnPeriod = 4
+
+// churnInject posts a plain wildcard receive on rank 0's tag-1 face
+// and sends it the matching message. On a persistent runtime the post
+// unseals every channel delivering tag 1 to rank 0 (its (comm, tag)
+// shadow).
+func churnInject(rt *mpx.Runtime) error {
+	if _, err := rt.PostRecv(0, envelope.AnySource, 1, 0); err != nil {
+		return err
+	}
+	return rt.Send(haloPeers(0)[0], 0, 1, 0, []byte{0xC7})
+}
+
+// PersistChurn runs halo traffic with churnInject every churnPeriod
+// iterations — each injection unseals the targeted channel's
+// (comm, tag) shadow, so the profile measures invalidation cost and
+// re-seal recovery, not the clean steady state. The speedup is against
+// a plain-post halo run with the same injections. FullMPI level:
+// wildcards must be legal.
 func PersistChurn(iters int, nocache bool) (PersistResult, error) {
 	const (
-		gpus        = 8
-		payload     = 256
-		churnPeriod = 4
+		gpus    = 8
+		payload = 256
 	)
 	res := PersistResult{Profile: "churn", AllocsPerOp: -1}
 
@@ -281,16 +308,9 @@ func PersistChurn(iters int, nocache bool) (PersistResult, error) {
 	}
 	res.FirstIterUs = rt.Stats().SimSeconds * 1e6
 	rt.ResetStats()
-	inj := []byte{0xC7}
 	for k := 1; k < iters; k++ {
 		if k%churnPeriod == 0 {
-			// A wildcard post on rank 0's +x face shadow: unseals every
-			// channel delivering tag 1 to rank 0's +x peer... the recv
-			// targets rank 0 itself on tag 1 (the face it receives).
-			if _, err := rt.PostRecv(0, envelope.AnySource, 1, 0); err != nil {
-				return res, err
-			}
-			if err := rt.Send(haloPeers(0)[0], 0, 1, 0, inj); err != nil {
+			if err := churnInject(rt); err != nil {
 				return res, err
 			}
 		}
@@ -298,19 +318,16 @@ func PersistChurn(iters int, nocache bool) (PersistResult, error) {
 			return res, err
 		}
 	}
-	st := rt.Stats()
-	steady := float64(iters - 1)
-	res.RefireUs = st.SimSeconds / steady * 1e6
-	if st.SimSeconds > 0 {
-		res.RefireRateM = float64(st.Matches) / st.SimSeconds / 1e6
-	}
-	if total := st.CacheHits + st.CacheMisses; total > 0 {
-		res.HitRate = float64(st.CacheHits) / float64(total)
-	}
-	res.Invalidations = st.CacheInvalidations
+	res.steady(rt.Stats(), iters)
 	if !nocache && res.Invalidations == 0 {
 		return res, fmt.Errorf("bench: churn profile never invalidated a seal (vacuous run)")
 	}
+
+	plainUs, err := plainHaloUs(mpx.FullMPI, gpus, payload, iters, true)
+	if err != nil {
+		return res, err
+	}
+	res.speedup(plainUs)
 	return res, nil
 }
 

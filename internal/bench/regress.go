@@ -80,19 +80,11 @@ func (r *BenchReport) fingerprint() {
 	}
 }
 
-// RunRegress executes the tracked benchmark suite and returns the
-// report. workers bounds the host fan-out of the figure sweeps
-// (0 = GOMAXPROCS); the sequential reference timings always run with
-// one worker, so the speedup records measure workers against it.
-func RunRegress(workers int) BenchReport {
-	return RunRegressOpt(workers, false)
-}
-
-// RunRegressOpt is RunRegress with the persistent-channel
-// gate-validation hook: persistNoCache disables the seal cache for the
-// persist/* profiles, which must fail a comparison against a blessed
-// baseline (hit rate and re-fire speedup collapse).
-func RunRegressOpt(workers int, persistNoCache bool) BenchReport {
+// RunRegress executes the tracked benchmark suite. persistNoCache
+// is the persistent-channel gate-validation hook: it disables the seal
+// cache for the persist/* profiles, which must fail a comparison
+// against a blessed baseline (hit rate and re-fire speedup collapse).
+func RunRegress(workers int, persistNoCache bool) BenchReport {
 	rep := BenchReport{
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -302,8 +294,17 @@ func worsening(base BenchRecord, cur float64) float64 {
 }
 
 // WriteBaseline writes the report as BENCH_<date>.json in dir and
-// returns the path. An existing same-day baseline is overwritten.
+// returns the path. An existing same-day baseline is overwritten. It
+// refuses a report holding a zero-valued higher-is-better simulated
+// record, which no later run could fail against.
 func WriteBaseline(dir string, rep BenchReport) (string, error) {
+	for _, r := range rep.Records {
+		if r.Kind == KindSim && r.HigherIsBetter && r.Value == 0 {
+			// Compare lets any value pass against a zero higher-is-better
+			// baseline, so such a record would gate nothing.
+			return "", fmt.Errorf("bench: refusing to write baseline: higher-is-better record %s is zero", r.Name)
+		}
+	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("bench: marshal baseline: %w", err)

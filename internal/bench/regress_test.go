@@ -84,6 +84,30 @@ func TestCompare(t *testing.T) {
 	})
 }
 
+// TestWriteBaselineRefusesVacuousRecord: a zero-valued higher-is-better
+// sim record passes every comparison, so it is never blessed; zero
+// lower-is-better and alloc records stay legal.
+func TestWriteBaselineRefusesVacuousRecord(t *testing.T) {
+	dir := t.TempDir()
+	bad := BenchReport{Date: "2026-01-01", Records: []BenchRecord{
+		rec("rate/a", KindSim, 100, true),
+		rec("persist/x/refire_speedup", KindSim, 0, true),
+	}}
+	if _, err := WriteBaseline(dir, bad); err == nil {
+		t.Error("WriteBaseline blessed a zero higher-is-better sim record")
+	}
+	if _, _, err := LoadLatestBaseline(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused baseline left a file behind: %v", err)
+	}
+	ok := BenchReport{Date: "2026-01-01", Records: []BenchRecord{
+		rec("soak/x/umq_peak", KindSim, 0, false),
+		rec("host/x/allocs_op", KindAlloc, 0, false),
+	}}
+	if _, err := WriteBaseline(dir, ok); err != nil {
+		t.Errorf("zero lower-is-better records refused: %v", err)
+	}
+}
+
 // TestBaselineRoundtrip: WriteBaseline then LoadLatestBaseline returns
 // the same report, and the lexicographically latest date wins.
 func TestBaselineRoundtrip(t *testing.T) {

@@ -263,65 +263,3 @@ func (c *Comm) AllReduce(vals []float64, op Op) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Gather collects one payload per GPU at root (direct sends; one
-// round) and returns the per-source payloads.
-func (c *Comm) Gather(root int, data [][]byte) (map[int][]byte, error) {
-	p := c.size()
-	if len(data) != p {
-		return nil, fmt.Errorf("coll: gather got %d payloads for %d GPUs", len(data), p)
-	}
-	if root < 0 || root >= p {
-		return nil, fmt.Errorf("coll: gather root %d outside [0,%d)", root, p)
-	}
-	sends := make([][]sendOp, p)
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		sends[r] = []sendOp{{dst: root, payload: data[r]}}
-	}
-	got, err := c.exchangeRound(0, sends)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int][]byte{root: data[root]}
-	for src, payload := range got[root] {
-		out[src] = payload
-	}
-	return out, nil
-}
-
-// AllToAll exchanges data[i][j] (GPU i's payload for GPU j) in one
-// direct round and returns out[j][i] = data[i][j].
-func (c *Comm) AllToAll(data [][][]byte) ([][][]byte, error) {
-	p := c.size()
-	if len(data) != p {
-		return nil, fmt.Errorf("coll: alltoall got %d rows for %d GPUs", len(data), p)
-	}
-	sends := make([][]sendOp, p)
-	for i := 0; i < p; i++ {
-		if len(data[i]) != p {
-			return nil, fmt.Errorf("coll: alltoall row %d has %d entries", i, len(data[i]))
-		}
-		for j := 0; j < p; j++ {
-			if i == j {
-				continue
-			}
-			sends[i] = append(sends[i], sendOp{dst: j, payload: data[i][j]})
-		}
-	}
-	got, err := c.exchangeRound(0, sends)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]byte, p)
-	for j := 0; j < p; j++ {
-		out[j] = make([][]byte, p)
-		out[j][j] = data[j][j]
-		for i, payload := range got[j] {
-			out[j][i] = payload
-		}
-	}
-	return out, nil
-}

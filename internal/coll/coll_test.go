@@ -144,74 +144,6 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	for _, level := range levels {
-		c := newComm(t, level, 4)
-		data := make([][]byte, 4)
-		for i := range data {
-			data[i] = []byte{byte(10 + i)}
-		}
-		got, err := c.Gather(2, data)
-		if err != nil {
-			t.Fatalf("level %v: %v", level, err)
-		}
-		for src := 0; src < 4; src++ {
-			if len(got[src]) != 1 || got[src][0] != byte(10+src) {
-				t.Errorf("level %v: gathered[%d] = %v", level, src, got[src])
-			}
-		}
-	}
-}
-
-func TestGatherValidation(t *testing.T) {
-	c := newComm(t, mpx.FullMPI, 3)
-	if _, err := c.Gather(0, make([][]byte, 2)); err == nil {
-		t.Error("short data accepted")
-	}
-	if _, err := c.Gather(5, make([][]byte, 3)); err == nil {
-		t.Error("bad root accepted")
-	}
-}
-
-func TestAllToAll(t *testing.T) {
-	for _, level := range levels {
-		p := 4
-		c := newComm(t, level, p)
-		data := make([][][]byte, p)
-		for i := range data {
-			data[i] = make([][]byte, p)
-			for j := range data[i] {
-				data[i][j] = []byte{byte(i*10 + j)}
-			}
-		}
-		out, err := c.AllToAll(data)
-		if err != nil {
-			t.Fatalf("level %v: %v", level, err)
-		}
-		for j := 0; j < p; j++ {
-			for i := 0; i < p; i++ {
-				if out[j][i][0] != byte(i*10+j) {
-					t.Errorf("level %v: out[%d][%d] = %v, want %d", level, j, i, out[j][i], i*10+j)
-				}
-			}
-		}
-	}
-}
-
-func TestAllToAllValidation(t *testing.T) {
-	c := newComm(t, mpx.FullMPI, 3)
-	if _, err := c.AllToAll(make([][][]byte, 2)); err == nil {
-		t.Error("short matrix accepted")
-	}
-	bad := make([][][]byte, 3)
-	bad[0] = make([][]byte, 1)
-	bad[1] = make([][]byte, 3)
-	bad[2] = make([][]byte, 3)
-	if _, err := c.AllToAll(bad); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-}
-
 func TestCollectivesAccumulateMatchingWork(t *testing.T) {
 	rt := mpx.New(mpx.Config{Level: mpx.Unordered, GPUs: 8})
 	c, err := New(rt, 0, 2000)

@@ -70,22 +70,11 @@ func (c *Comm) NewPersistentAllReduce(op Op) (*PersistentAllReduce, error) {
 	return a, nil
 }
 
-// Run executes one allreduce iteration over the plan and returns the
-// per-GPU results (all equal). After the first iteration every channel
+// RunInto executes one allreduce iteration over the plan; the per-GPU
+// results (all equal) land in out (len = GPU count), so steady-state
+// iterations allocate nothing. After the first iteration every channel
 // is sealed and the exchange re-fires through the cache without
 // touching the matching engine.
-func (a *PersistentAllReduce) Run(vals []float64) ([]float64, error) {
-	if err := a.run(vals); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(a.acc))
-	copy(out, a.acc)
-	return out, nil
-}
-
-// RunInto is Run without the result allocation: results land in out
-// (len = GPU count). The steady-state zero-alloc path for callers that
-// iterate.
 func (a *PersistentAllReduce) RunInto(out, vals []float64) error {
 	if len(out) != a.c.size() {
 		return fmt.Errorf("coll: persistent allreduce got %d result slots for %d GPUs", len(out), a.c.size())

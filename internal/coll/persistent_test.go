@@ -21,8 +21,8 @@ func TestPersistentAllReduceMatchesPlain(t *testing.T) {
 			}
 			for iter := 0; iter < 5; iter++ {
 				vals := []float64{1.5 + float64(iter), -2, 8, 0.25}
-				got, err := plan.Run(vals)
-				if err != nil {
+				got := make([]float64, len(vals))
+				if err := plan.RunInto(got, vals); err != nil {
 					t.Fatalf("%v/%v iter %d: %v", level, op, iter, err)
 				}
 				want := vals[0]
@@ -68,7 +68,7 @@ func TestPersistentAllReduceRunInto(t *testing.T) {
 	if err := plan.RunInto(out[:1], vals); err == nil {
 		t.Error("short result slice accepted")
 	}
-	if _, err := plan.Run(vals[:2]); err == nil {
+	if err := plan.RunInto(out, vals[:2]); err == nil {
 		t.Error("short value slice accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestPersistentAllReduceValidation(t *testing.T) {
 	}
 	plan.Free()
 	plan.Free() // idempotent
-	if _, err := plan.Run([]float64{1, 2, 3, 4}); err == nil {
-		t.Error("Run on freed plan accepted")
+	if err := plan.RunInto(make([]float64, 4), []float64{1, 2, 3, 4}); err == nil {
+		t.Error("RunInto on freed plan accepted")
 	}
 }

@@ -134,6 +134,34 @@ func ChaosWorkloadTraced(level mpx.Level, seed int64, i int, mix fault.Config, t
 	return chaosWorkload(level, seed, i, mix, &tcfg, false)
 }
 
+// RunChaosTrace replays seeded chaos workloads (FullMPI semantics,
+// ChaosMix faults) and returns the flight recorder of the first one
+// whose run retransmitted — so the exported trace shows the full
+// fault → retransmit → match-pass chain on one simulated-time axis.
+// The scan is deterministic per seed; the same seed always returns the
+// same workload's byte-identical trace.
+//
+// tcfg parameterizes the recorder (the zero value selects defaults;
+// Enabled is forced on). A tcfg.Stream writer receives the chosen
+// workload's trace live: the scan itself runs without telemetry, and
+// only the chosen workload is then replayed under tcfg, so the
+// streamed bytes cover exactly the workload the recorder holds.
+func RunChaosTrace(seed int64, tcfg telemetry.Config) (*telemetry.Recorder, error) {
+	pick := 0
+	for i := 0; i < 64; i++ {
+		st, _, err := ChaosWorkload(mpx.FullMPI, seed, i, ChaosMix())
+		if err != nil {
+			return nil, err
+		}
+		if st.Retries > 0 {
+			pick = i
+			break
+		}
+	}
+	_, _, rec, err := ChaosWorkloadTraced(mpx.FullMPI, seed, pick, ChaosMix(), tcfg)
+	return rec, err
+}
+
 func chaosWorkload(level mpx.Level, seed int64, i int, mix fault.Config, tcfg *telemetry.Config, bp bool) (mpx.Stats, int, *telemetry.Recorder, error) {
 	const mixMul = int64(-0x61C8864680B583EB) // golden-ratio multiplier (2^64/φ)
 	sub := seed ^ int64(i)*mixMul ^ int64(level)

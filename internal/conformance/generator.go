@@ -186,7 +186,7 @@ func WorkloadAt(seed int64, i int) Workload {
 // handle of the stream conformance suite; the seed domain is disjoint
 // from WorkloadAt's so the two runs never share instances.
 func StreamWorkloadAt(seed int64, i int) Workload {
-	const mix = int64(-0x61C8864680B583EB) // golden-ratio multiplier (2^64/φ)
+	const mix = int64(-0x61C8864680B583EB)                           // golden-ratio multiplier (2^64/φ)
 	rng := rand.New(rand.NewSource(seed ^ int64(i)*mix ^ 0x5B957EA)) // domain salt: disjoint from WorkloadAt
 	cfg := DrawConfig(rng)
 	cfg.Streams = 2 + rng.Intn(7)

@@ -141,14 +141,6 @@ func SlowReceiverProfile(seed int64) Config {
 	return Config{Seed: seed, SlowReceiver: 0.05, SlowSteps: 12, SlowDrainLimit: 2}
 }
 
-// ReceiverStallProfile is the tracked overload profile of receivers
-// that stop draining entirely for extended windows — the hard edge of
-// the slow-receiver regime, long enough to exhaust ring credits and
-// force end-to-end backpressure onto senders.
-func ReceiverStallProfile(seed int64) Config {
-	return Config{Seed: seed, Stall: 0.03, StallSteps: 16}
-}
-
 // Counters tallies every fault the plane injected. The runtime's
 // Stats merge these with the detection-side counters (checksum
 // failures, duplicate suppressions, retransmissions), so a chaos run
@@ -221,19 +213,10 @@ func (in *Injector) Size() int { return in.c.Size() }
 // Counters returns the injected-fault tallies so far.
 func (in *Injector) Counters() Counters { return in.ctr }
 
-// Pending returns GPU dst's undrained ring depth.
-func (in *Injector) Pending(dst int) int { return in.c.Pending(dst) }
-
 // Idle reports whether the plane holds no undelivered state: every
 // ring drained and no frame parked on the wire. (Withheld credits and
 // running stalls expire on their own and hold no data.)
 func (in *Injector) Idle() bool { return len(in.delayed) == 0 && in.c.Idle() }
-
-// Put is the faulty wire write with no stream sequencing; see
-// PutStream.
-func (in *Injector) Put(dst int, env envelope.Envelope, payload []byte, seq, flow uint64) error {
-	return in.PutStream(dst, env, payload, seq, flow, 0)
-}
 
 // PutStream is the faulty wire write. One roll decides the frame's
 // fate; the fault classes are mutually exclusive per frame. sseq is
@@ -386,6 +369,3 @@ func (in *Injector) PauseGPU(g, steps int) {
 	in.rec.Instant(g, evPause, argSteps, int64(steps), 0, 0)
 	in.pauseUntil[g] = in.step + steps
 }
-
-// Paused reports whether GPU g is currently paused.
-func (in *Injector) Paused(g int) bool { return in.step < in.pauseUntil[g] }

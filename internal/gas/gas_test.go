@@ -12,10 +12,10 @@ func TestClusterPutDrain(t *testing.T) {
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d", c.Size())
 	}
-	if err := c.Put(2, envelope.Envelope{Src: 0, Tag: 5}, []byte("hi")); err != nil {
+	if err := c.PutStream(2, envelope.Envelope{Src: 0, Tag: 5}, []byte("hi"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(2, envelope.Envelope{Src: 1, Tag: 6}, nil); err != nil {
+	if err := c.PutStream(2, envelope.Envelope{Src: 1, Tag: 6}, nil, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	g := c.GPU(2)
@@ -39,19 +39,19 @@ func TestClusterPutDrain(t *testing.T) {
 
 func TestPutErrors(t *testing.T) {
 	c := NewCluster(1, arch.KeplerK80(), 2)
-	if err := c.Put(5, envelope.Envelope{}, nil); err == nil {
+	if err := c.PutStream(5, envelope.Envelope{}, nil, 0, 0, 0); err == nil {
 		t.Error("out-of-range destination accepted")
 	}
-	if err := c.Put(0, envelope.Envelope{Src: -1}, nil); err == nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: -1}, nil, 0, 0, 0); err == nil {
 		t.Error("invalid envelope accepted")
 	}
 	// Queue overflow.
 	for i := 0; i < 2; i++ {
-		if err := c.Put(0, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil); err != nil {
+		if err := c.PutStream(0, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Put(0, envelope.Envelope{Src: 0, Tag: 9}, nil); err == nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: 0, Tag: 9}, nil, 0, 0, 0); err == nil {
 		t.Error("overflow not reported")
 	}
 }
@@ -75,19 +75,19 @@ func TestDefaultQueueCap(t *testing.T) {
 func TestCreditsReturnedOnDrain(t *testing.T) {
 	c := NewCluster(2, arch.PascalGTX1080(), 3)
 	for i := 0; i < 3; i++ {
-		if err := c.Put(1, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil); err != nil {
+		if err := c.PutStream(1, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Ring full: back-pressure.
-	if err := c.Put(1, envelope.Envelope{Src: 0, Tag: 9}, nil); err == nil {
+	if err := c.PutStream(1, envelope.Envelope{Src: 0, Tag: 9}, nil, 0, 0, 0); err == nil {
 		t.Fatal("push over capacity succeeded")
 	}
 	// Drain returns credits; sending works again.
 	if got := len(c.GPU(1).Drain()); got != 3 {
 		t.Fatalf("Drain = %d, want 3", got)
 	}
-	if err := c.Put(1, envelope.Envelope{Src: 0, Tag: 9}, nil); err != nil {
+	if err := c.PutStream(1, envelope.Envelope{Src: 0, Tag: 9}, nil, 0, 0, 0); err != nil {
 		t.Fatalf("post-drain put: %v", err)
 	}
 }
@@ -97,14 +97,14 @@ func TestCreditsReturnedOnDrain(t *testing.T) {
 // its own payload — and the anomaly is counted.
 func TestDrainDiscardsInvalidWordAtomically(t *testing.T) {
 	c := NewCluster(1, arch.PascalGTX1080(), 8)
-	if err := c.Put(0, envelope.Envelope{Src: 1, Tag: 1}, []byte("a")); err != nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: 1, Tag: 1}, []byte("a"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A word without the valid bit, carrying its own side entry.
-	if err := c.PutWord(0, 0, []byte("junk"), 7, 7); err != nil {
+	if err := c.PutWordStream(0, 0, []byte("junk"), 7, 7, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(0, envelope.Envelope{Src: 2, Tag: 2}, []byte("b")); err != nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: 2, Tag: 2}, []byte("b"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	msgs := c.Drain(0)
@@ -130,7 +130,7 @@ func TestDrainDetectsCorruptHeader(t *testing.T) {
 	for bit := 0; bit < 62; bit++ { // bit 62 clears the valid flag → Invalid path
 		c := NewCluster(1, arch.PascalGTX1080(), 4)
 		w := envelope.Envelope{Src: 3, Tag: 9, Comm: 1}.Pack() ^ 1<<bit
-		if err := c.PutWord(0, w, []byte("x"), 1, 1); err != nil {
+		if err := c.PutWordStream(0, w, []byte("x"), 1, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 		msgs := c.Drain(0)
@@ -148,18 +148,18 @@ func TestDrainDetectsCorruptHeader(t *testing.T) {
 func TestDrainKeepingCredits(t *testing.T) {
 	c := NewCluster(1, arch.PascalGTX1080(), 2)
 	for i := 0; i < 2; i++ {
-		if err := c.Put(0, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil); err != nil {
+		if err := c.PutStream(0, envelope.Envelope{Src: 0, Tag: envelope.Tag(i)}, nil, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := len(c.GPU(0).DrainKeepingCredits()); got != 2 {
 		t.Fatalf("drained %d, want 2", got)
 	}
-	if err := c.Put(0, envelope.Envelope{Src: 0, Tag: 5}, nil); err == nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: 0, Tag: 5}, nil, 0, 0, 0); err == nil {
 		t.Fatal("send succeeded while credits were withheld")
 	}
 	c.GPU(0).Ring().ReturnCredits()
-	if err := c.Put(0, envelope.Envelope{Src: 0, Tag: 5}, nil); err != nil {
+	if err := c.PutStream(0, envelope.Envelope{Src: 0, Tag: 5}, nil, 0, 0, 0); err != nil {
 		t.Fatalf("send after credit flush: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestDrainKeepingCredits(t *testing.T) {
 // TestFlowAndSeqDelivered: both sequence numbers ride with the message.
 func TestFlowAndSeqDelivered(t *testing.T) {
 	c := NewCluster(2, arch.PascalGTX1080(), 4)
-	if err := c.PutSeq(1, envelope.Envelope{Src: 0, Tag: 1}, nil, 42, 7); err != nil {
+	if err := c.PutStream(1, envelope.Envelope{Src: 0, Tag: 1}, nil, 42, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	msgs := c.Drain(1)
@@ -186,7 +186,7 @@ func TestDrainReusesBuffer(t *testing.T) {
 	payloads := [][]byte{{0}, {1}, {2}, {3}}
 	fill := func() {
 		for i := 0; i < 4; i++ {
-			if err := c.PutSeq(1, env, payloads[i], uint64(i), uint64(i)); err != nil {
+			if err := c.PutStream(1, env, payloads[i], uint64(i), uint64(i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

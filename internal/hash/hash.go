@@ -68,9 +68,6 @@ func ByName(name string) (Func, error) {
 	}
 }
 
-// Names lists the available hash function names.
-func Names() []string { return []string{"jenkins", "fnv1a", "xorshift"} }
-
 // CostALU returns the approximate ALU instruction count of one hash
 // evaluation, used by the SIMT kernels to bill hashing work.
 func CostALU(name string) int {

@@ -193,22 +193,6 @@ func (c *PersistentCache) User(id HandleID) any {
 	return c.arena[id].user
 }
 
-// Env returns the handle's concrete tuple.
-func (c *PersistentCache) Env(id HandleID) envelope.Envelope {
-	if !c.valid(id) {
-		return envelope.Envelope{}
-	}
-	return c.arena[id].env
-}
-
-// Parts returns the handle's partition count.
-func (c *PersistentCache) Parts(id HandleID) int {
-	if !c.valid(id) {
-		return 0
-	}
-	return c.arena[id].parts
-}
-
 // InvalidateKey unseals every handle holding the exact tuple key,
 // appending the unsealed ids to into and returning the result. Callers
 // pass a reused scratch slice so steady-state invalidation-free steps
@@ -245,10 +229,3 @@ func (c *PersistentCache) InvalidateComm(comm envelope.Comm, into []HandleID) []
 	}
 	return into
 }
-
-// SealEligible reports whether a request may back a sealed persistent
-// handle under this contract: the cached re-fire replays an exact-tuple
-// pairing, so only wildcard-free requests are eligible — at every
-// semantics level. Wildcard persistent requests stay legal but run the
-// full engine each iteration.
-func (c Contract) SealEligible(r envelope.Request) bool { return !r.HasWildcard() }

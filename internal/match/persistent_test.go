@@ -38,8 +38,8 @@ func TestPersistentCacheAllocSealLookup(t *testing.T) {
 	if u, _ := c.User(id).(string); u != "user" {
 		t.Errorf("User = %v", c.User(id))
 	}
-	if c.Env(id) != e || c.Parts(id) != 1 {
-		t.Errorf("Env/Parts = %v/%d", c.Env(id), c.Parts(id))
+	if h := c.arena[id]; h.env != e || h.parts != 1 {
+		t.Errorf("handle env/parts = %v/%d", h.env, h.parts)
 	}
 	// Sealing again is a no-op, not a duplicate index entry.
 	if err := c.Seal(id); err != nil {
@@ -155,25 +155,5 @@ func TestPersistentCacheSameKeyFIFO(t *testing.T) {
 	got := c.InvalidateKey(e.Key(), nil)
 	if len(got) != 2 {
 		t.Errorf("same-key invalidation = %v", got)
-	}
-}
-
-func TestSealEligible(t *testing.T) {
-	contracts := []Contract{
-		{Semantics: Ordered, SrcWildcard: true, TagWildcard: true},
-		{Semantics: Ordered},
-		{Semantics: Unordered},
-		{Semantics: GreedyMaximal, SrcWildcard: true, TagWildcard: true},
-	}
-	for _, ct := range contracts {
-		if !ct.SealEligible(envelope.Request{Src: 1, Tag: 7}) {
-			t.Errorf("%+v: concrete request not seal-eligible", ct)
-		}
-		if ct.SealEligible(envelope.Request{Src: envelope.AnySource, Tag: 7}) {
-			t.Errorf("%+v: AnySource request seal-eligible", ct)
-		}
-		if ct.SealEligible(envelope.Request{Src: 1, Tag: envelope.AnyTag}) {
-			t.Errorf("%+v: AnyTag request seal-eligible", ct)
-		}
 	}
 }

@@ -63,29 +63,9 @@ type Contract struct {
 	StreamQualified bool
 }
 
-// Admits reports whether the contract admits the request.
-func (c Contract) Admits(r envelope.Request) bool {
-	if !c.SrcWildcard && r.Src == envelope.AnySource {
-		return false
-	}
-	if !c.TagWildcard && r.Tag == envelope.AnyTag {
-		return false
-	}
-	return true
-}
-
-// AdmitsAll reports whether every request is admitted.
-func (c Contract) AdmitsAll(reqs []envelope.Request) bool {
-	for _, r := range reqs {
-		if !c.Admits(r) {
-			return false
-		}
-	}
-	return true
-}
-
 // RejectionError returns the sentinel error the engine must wrap when
-// rejecting a prohibited request, or nil if the request is admitted.
+// rejecting a prohibited request, or nil if the contract admits the
+// request.
 func (c Contract) RejectionError(r envelope.Request) error {
 	if !c.TagWildcard && r.HasWildcard() {
 		return ErrWildcard

@@ -1,8 +1,8 @@
 // Endpoint/stream handle API of the runtime (DESIGN.md §17): the
-// redesigned entry point the MPIX Stream relaxation calls for. An
-// Endpoint is one GPU's communication handle, owning the verbs the
-// flat Runtime methods delegate to; Open carves additional ordering
-// contexts (streams) out of it. Under Level == StreamOrdered the
+// entry point the MPIX Stream relaxation calls for. An Endpoint is one
+// GPU's communication handle; Open carves additional ordering contexts
+// (streams) out of it, and Default returns the default stream the flat
+// Runtime verbs address. Under Level == StreamOrdered the
 // runtime guarantees matching order only within each stream — sends
 // and receives on the default stream behave exactly like the flat API,
 // while operations on different streams may match in any relative
@@ -23,9 +23,8 @@ import (
 )
 
 // Endpoint is GPU g's communication handle. All methods are safe for
-// concurrent use (they delegate to the runtime's verbs under its
-// mutex); the zero value is invalid — obtain endpoints from
-// Runtime.Endpoint.
+// concurrent use (stream bookkeeping runs under the runtime's mutex);
+// the zero value is invalid — obtain endpoints from Runtime.Endpoint.
 type Endpoint struct {
 	rt  *Runtime
 	gpu int
@@ -72,27 +71,6 @@ func (ep *Endpoint) Default() *Stream {
 	return &Stream{ep: ep, id: envelope.DefaultStream}
 }
 
-// Send transmits payload to GPU dst on the default stream.
-func (ep *Endpoint) Send(dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) error {
-	return ep.rt.sendStream(ep.gpu, envelope.DefaultStream, dst, tag, comm, payload)
-}
-
-// PostRecv posts a receive on the default stream.
-func (ep *Endpoint) PostRecv(src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*Recv, error) {
-	return ep.rt.postRecvStream(ep.gpu, envelope.DefaultStream, src, tag, comm)
-}
-
-// SendInit creates a persistent send channel to dst on the default
-// stream.
-func (ep *Endpoint) SendInit(dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	return ep.rt.SendInit(ep.gpu, dst, tag, comm, payload)
-}
-
-// RecvInit creates a persistent receive channel on the default stream.
-func (ep *Endpoint) RecvInit(src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*PersistentRecv, error) {
-	return ep.rt.RecvInit(ep.gpu, src, tag, comm)
-}
-
 // Stream is one ordering context of an endpoint. Operations on it are
 // ordered among themselves (under every level); their order against
 // other streams is guaranteed only by the strict levels and
@@ -124,12 +102,7 @@ func (st *Stream) PostRecv(src envelope.Rank, tag envelope.Tag, comm envelope.Co
 
 // SendInit creates a persistent send channel to dst on this stream.
 func (st *Stream) SendInit(dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	h, err := st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	h.wire[0] = payload
-	return h, nil
+	return st.ep.rt.sendInit(st.ep.gpu, st.id, dst, tag, comm, [][]byte{payload}, false)
 }
 
 // RecvInit creates a persistent receive channel on this stream.

@@ -24,15 +24,14 @@ func TestEndpointBounds(t *testing.T) {
 }
 
 func TestEndpointFlatEquivalence(t *testing.T) {
-	// The endpoint verbs are the same operations as the flat API: a
-	// send through one must deliver to a receive posted through the
-	// other.
+	// The endpoint's default stream is the flat API's context: a send
+	// through one must deliver to a receive posted through the other.
 	rt := New(Config{GPUs: 2})
 	ep0, err := rt.Endpoint(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep0.Send(1, 7, 0, []byte("via-endpoint")); err != nil {
+	if err := ep0.Default().Send(1, 7, 0, []byte("via-endpoint")); err != nil {
 		t.Fatal(err)
 	}
 	r, err := rt.PostRecv(1, 0, 7, 0)
@@ -79,12 +78,7 @@ func TestStreamOpenCloseLifecycle(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Send(1, 1, 0, nil); !errors.Is(err, ErrStreamClosed) {
-		t.Errorf("send after Close: err = %v, want ErrStreamClosed", err)
-	}
-	if _, err := st.PostRecv(0, 1, 0); !errors.Is(err, ErrStreamClosed) {
-		t.Errorf("post after Close: err = %v, want ErrStreamClosed", err)
-	}
+	// Every verb on the closed handle fails: TestClosedStreamRefusesEveryVerb.
 	if err := st.Close(); !errors.Is(err, ErrStreamClosed) {
 		t.Errorf("double Close: err = %v, want ErrStreamClosed", err)
 	}
@@ -111,7 +105,7 @@ func TestStreamQualifiedMatchingIsolation(t *testing.T) {
 	if err := tx.Send(1, 9, 0, []byte("s2")); err != nil {
 		t.Fatal(err)
 	}
-	r0, err := ep1.PostRecv(envelope.AnySource, envelope.AnyTag, 0)
+	r0, err := ep1.Default().PostRecv(envelope.AnySource, envelope.AnyTag, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +276,7 @@ func TestStreamPersistentChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for it := 0; it < 5; it++ {
-		if err := StartAll(pr, ps); err != nil {
+		if err := startAll(pr, ps); err != nil {
 			t.Fatal(err)
 		}
 		if ok, err := rt.Drain(200); err != nil || !ok {
@@ -394,5 +388,90 @@ func TestConfigNormalizeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// errOf drops a verb's handle, keeping its error.
+func errOf[H any](_ H, err error) error { return err }
+
+// TestRecvVerbsShareAdmission pins the single receive-admission check:
+// at every level, each receive verb admits or refuses a concrete,
+// AnySource or AnyTag request exactly as Runtime.PostRecv does (whose
+// own contract TestNoSourceWildcardRejects and
+// TestUnorderedRejectsAllWildcards pin). The one deliberate extra rule
+// is that a partitioned channel refuses any wildcard PostRecv would
+// admit (it must own a concrete tuple).
+func TestRecvVerbsShareAdmission(t *testing.T) {
+	type verb func(rt *Runtime, st *Stream, src envelope.Rank, tag envelope.Tag) error
+	verbs := map[string]verb{
+		"Runtime.RecvInit": func(rt *Runtime, _ *Stream, src envelope.Rank, tag envelope.Tag) error {
+			return errOf(rt.RecvInit(1, src, tag, 0))
+		},
+		"Runtime.RecvInitPartitioned": func(rt *Runtime, _ *Stream, src envelope.Rank, tag envelope.Tag) error {
+			return errOf(rt.RecvInitPartitioned(1, src, tag, 0, 2))
+		},
+		"Stream.PostRecv": func(_ *Runtime, st *Stream, src envelope.Rank, tag envelope.Tag) error {
+			return errOf(st.PostRecv(src, tag, 0))
+		},
+		"Stream.RecvInit": func(_ *Runtime, st *Stream, src envelope.Rank, tag envelope.Tag) error {
+			return errOf(st.RecvInit(src, tag, 0))
+		},
+	}
+	reqs := map[string]envelope.Request{
+		"concrete":  {Src: 0, Tag: 7},
+		"AnySource": {Src: envelope.AnySource, Tag: 7},
+		"AnyTag":    {Src: 0, Tag: envelope.AnyTag},
+	}
+	for _, level := range []Level{FullMPI, NoSourceWildcard, NoUnexpected, Unordered, StreamOrdered} {
+		for rname, rq := range reqs {
+			want := errOf(New(Config{Level: level, GPUs: 2}).PostRecv(1, rq.Src, rq.Tag, 0))
+			for vname, v := range verbs {
+				rt := New(Config{Level: level, GPUs: 2})
+				ep, _ := rt.Endpoint(1)
+				st, err := ep.Open(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = v(rt, st, rq.Src, rq.Tag)
+				switch {
+				case want != nil:
+					if !errors.Is(err, want) {
+						t.Errorf("%v %s %s: err = %v, PostRecv refused with %v", level, vname, rname, err, want)
+					}
+				case vname == "Runtime.RecvInitPartitioned" && rq.HasWildcard():
+					if err == nil {
+						t.Errorf("%v %s %s: partitioned channel admitted a wildcard", level, vname, rname)
+					}
+				case err != nil:
+					t.Errorf("%v %s %s: err = %v, PostRecv admitted it", level, vname, rname, err)
+				}
+			}
+		}
+	}
+}
+
+// TestClosedStreamRefusesEveryVerb: after Close, every stream-qualified
+// send and receive verb fails with ErrStreamClosed.
+func TestClosedStreamRefusesEveryVerb(t *testing.T) {
+	for _, level := range []Level{FullMPI, NoSourceWildcard, NoUnexpected, Unordered, StreamOrdered} {
+		rt := New(Config{Level: level, GPUs: 2})
+		ep, _ := rt.Endpoint(0)
+		st, err := ep.Open(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, err := range map[string]error{
+			"Send":     st.Send(1, 7, 0, nil),
+			"SendInit": errOf(st.SendInit(1, 7, 0, nil)),
+			"PostRecv": errOf(st.PostRecv(1, 7, 0)),
+			"RecvInit": errOf(st.RecvInit(1, 7, 0)),
+		} {
+			if !errors.Is(err, ErrStreamClosed) {
+				t.Errorf("%v closed Stream.%s: err = %v, want ErrStreamClosed", level, name, err)
+			}
+		}
 	}
 }

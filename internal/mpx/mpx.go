@@ -504,18 +504,18 @@ type Runtime struct {
 
 	// Telemetry plane (all nil when Config.Telemetry is off; every
 	// handle is nil-safe, so emission sites are unconditional).
-	rec           *telemetry.Recorder
-	mSends        *telemetry.Counter
-	mRetries      *telemetry.Counter
-	mSheds        *telemetry.Counter
-	mNacks        *telemetry.Counter
-	mCreditStalls *telemetry.Counter
-	mStates       *telemetry.Counter
-	mUMQDepth     *telemetry.Histogram
-	mPRQDepth     *telemetry.Histogram
-	mCacheHits    *telemetry.Counter
-	mCacheMisses  *telemetry.Counter
-	mCacheSeals   *telemetry.Counter
+	rec            *telemetry.Recorder
+	mSends         *telemetry.Counter
+	mRetries       *telemetry.Counter
+	mSheds         *telemetry.Counter
+	mNacks         *telemetry.Counter
+	mCreditStalls  *telemetry.Counter
+	mStates        *telemetry.Counter
+	mUMQDepth      *telemetry.Histogram
+	mPRQDepth      *telemetry.Histogram
+	mCacheHits     *telemetry.Counter
+	mCacheMisses   *telemetry.Counter
+	mCacheSeals    *telemetry.Counter
 	mCacheInvalids *telemetry.Counter
 }
 
@@ -688,8 +688,8 @@ func (rt *Runtime) Level() Level { return rt.cfg.Level }
 func (rt *Runtime) GPUs() int { return rt.cluster.Size() }
 
 // Send transmits payload from GPU src to GPU dst with the given tag
-// and communicator on the default stream — a thin wrapper over the
-// endpoint verb (see endpoint.go for the handle-based API).
+// and communicator on the default stream (Stream.Send is the
+// stream-qualified form; see endpoint.go).
 func (rt *Runtime) Send(src, dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) error {
 	return rt.sendStream(src, envelope.DefaultStream, dst, tag, comm, payload)
 }
@@ -701,19 +701,10 @@ func (rt *Runtime) Send(src, dst int, tag envelope.Tag, comm envelope.Comm, payl
 // transient back-pressure (the frame queues in the flow's outbox and
 // Progress transmits it when the wire has room).
 func (rt *Runtime) sendStream(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) error {
-	if src < 0 || src >= rt.cluster.Size() {
-		return fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
-	}
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
-	if err := env.Validate(); err != nil {
-		return fmt.Errorf("mpx: %w", err)
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := rt.streamOpenLocked(src, stream); err != nil {
+	env, err := rt.admitSendLocked(src, stream, dst, tag, comm)
+	if err != nil {
 		return err
 	}
 	fl := rt.txFlowFor(src, dst)
@@ -739,8 +730,26 @@ func (rt *Runtime) sendStream(src int, stream envelope.Stream, dst int, tag enve
 	rt.noteSendLocked(src, dst, stream, fl)
 	// Eagerly push what the window and wire allow, so a send is on the
 	// wire before the next progress step on an uncongested cluster.
-	_, err := rt.flushOutbox(fl)
+	_, err = rt.flushOutbox(fl)
 	return err
+}
+
+// admitSendLocked runs every check a send verb (Send, Stream.Send,
+// SendInit and its variants) owes before it changes state: both GPUs
+// in range, a valid envelope, and the source stream open. It returns
+// the envelope to stamp. The caller holds rt.mu.
+func (rt *Runtime) admitSendLocked(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm) (envelope.Envelope, error) {
+	if src < 0 || src >= rt.cluster.Size() {
+		return envelope.Envelope{}, fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
+	}
+	if dst < 0 || dst >= rt.cluster.Size() {
+		return envelope.Envelope{}, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
+	}
+	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
+	if err := env.Validate(); err != nil {
+		return envelope.Envelope{}, fmt.Errorf("mpx: %w", err)
+	}
+	return env, rt.streamOpenLocked(src, stream)
 }
 
 // noteSendLocked does the accounting every accepted send shares.
@@ -762,38 +771,18 @@ func (rt *Runtime) streamOpenLocked(g int, stream envelope.Stream) error {
 	return nil
 }
 
-// PostRecv posts a receive on GPU dst for the default stream — a thin
-// wrapper over the endpoint verb (see endpoint.go).
+// PostRecv posts a receive on GPU dst for the default stream
+// (Stream.PostRecv is the stream-qualified form; see endpoint.go).
 func (rt *Runtime) PostRecv(dst int, src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*Recv, error) {
 	return rt.postRecvStream(dst, envelope.DefaultStream, src, tag, comm)
 }
 
-// postRecvStream is the receive-post core. The level's contract is
-// enforced here: NoSourceWildcard and stricter reject AnySource;
-// Unordered rejects both wildcards; FullMPI and StreamOrdered admit
-// everything (a stream-qualified wildcard ranges only within its
-// stream — the stream field itself has no wildcard).
+// postRecvStream is the receive-post core.
 func (rt *Runtime) postRecvStream(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (*Recv, error) {
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	switch rt.cfg.Level {
-	case NoSourceWildcard, NoUnexpected:
-		if src == envelope.AnySource {
-			return nil, match.ErrSourceWildcard
-		}
-	case Unordered:
-		if req.HasWildcard() {
-			return nil, match.ErrWildcard
-		}
-	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := rt.streamOpenLocked(dst, stream); err != nil {
+	req, err := rt.admitRecvLocked(dst, stream, src, tag, comm)
+	if err != nil {
 		return nil, err
 	}
 	if rt.cfg.PRQCap > 0 && len(rt.pendingRecvs[dst]) >= rt.cfg.PRQCap {
@@ -811,6 +800,38 @@ func (rt *Runtime) postRecvStream(dst int, stream envelope.Stream, src envelope.
 	// persistent channel was serving: unseal whatever it contests.
 	rt.persistInvalidatePostLocked(dst, req)
 	return r, nil
+}
+
+// admitRecvLocked runs every check a receive verb (PostRecv,
+// Stream.PostRecv, RecvInit and its variants) owes before it changes
+// state: the GPU in range, a valid request, the level's wildcard
+// contract, and the stream open. It returns the request to post. The
+// caller holds rt.mu.
+//
+// The level's contract is stated here once: NoSourceWildcard and
+// NoUnexpected reject AnySource; Unordered rejects both wildcards;
+// FullMPI and StreamOrdered admit everything (a stream-qualified
+// wildcard ranges only within its stream — the stream field itself has
+// no wildcard).
+func (rt *Runtime) admitRecvLocked(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm) (envelope.Request, error) {
+	if dst < 0 || dst >= rt.cluster.Size() {
+		return envelope.Request{}, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
+	}
+	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
+	if err := req.Validate(); err != nil {
+		return envelope.Request{}, err
+	}
+	switch rt.cfg.Level {
+	case NoSourceWildcard, NoUnexpected:
+		if src == envelope.AnySource {
+			return envelope.Request{}, match.ErrSourceWildcard
+		}
+	case Unordered:
+		if req.HasWildcard() {
+			return envelope.Request{}, match.ErrWildcard
+		}
+	}
+	return req, rt.streamOpenLocked(dst, stream)
 }
 
 // Progress runs one communication-kernel step on every GPU: ticks the

@@ -45,20 +45,6 @@ const (
 	MaxPartitions = 1 << 16
 )
 
-// Starter is anything with a persistent Start — both handle kinds
-// implement it, so one StartAll re-fires a whole communication plan.
-type Starter interface{ Start() error }
-
-// StartAll starts every handle, stopping at the first error.
-func StartAll(handles ...Starter) error {
-	for _, h := range handles {
-		if err := h.Start(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PersistentSend is a persistent send channel: envelope and payload
 // buffers bound at init, re-fired per iteration by Start (and, for
 // partitioned channels, Pready per partition). Re-firing recycles
@@ -81,12 +67,7 @@ type PersistentSend struct {
 // The payload is bound by reference, like Send: the caller may rewrite
 // its contents between iterations (or swap the buffer via Bind).
 func (rt *Runtime) SendInit(src, dst int, tag envelope.Tag, comm envelope.Comm, payload []byte) (*PersistentSend, error) {
-	h, err := rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	h.wire[0] = payload
-	return h, nil
+	return rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, [][]byte{payload}, false)
 }
 
 // SendInitPartitioned creates a partitioned persistent send channel:
@@ -100,38 +81,31 @@ func (rt *Runtime) SendInitPartitioned(src, dst int, tag envelope.Tag, comm enve
 	if len(partitions) < 1 || len(partitions) > MaxPartitions {
 		return nil, fmt.Errorf("mpx: %d partitions outside [1,%d]", len(partitions), MaxPartitions)
 	}
-	h, err := rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, len(partitions), true)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range partitions {
-		h.wire[i] = packPartition(nil, i, p)
-	}
-	return h, nil
+	return rt.sendInit(src, envelope.DefaultStream, dst, tag, comm, partitions, true)
 }
 
-func (rt *Runtime) sendInit(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, parts int, partitioned bool) (*PersistentSend, error) {
-	if src < 0 || src >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: source GPU %d outside [0,%d)", src, rt.cluster.Size())
-	}
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	env := envelope.Envelope{Src: envelope.Rank(src), Tag: tag, Comm: comm, Stream: stream}
-	if err := env.Validate(); err != nil {
-		return nil, fmt.Errorf("mpx: %w", err)
-	}
+// sendInit admits a persistent send and binds its payloads: by
+// reference for a single-partition channel, copied into header-prefixed
+// wire buffers for a partitioned one.
+func (rt *Runtime) sendInit(src int, stream envelope.Stream, dst int, tag envelope.Tag, comm envelope.Comm, payloads [][]byte, partitioned bool) (*PersistentSend, error) {
 	rt.mu.Lock()
-	err := rt.streamOpenLocked(src, stream)
+	env, err := rt.admitSendLocked(src, stream, dst, tag, comm)
 	rt.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	wire := payloads
+	if partitioned {
+		wire = make([][]byte, len(payloads))
+		for i, p := range payloads {
+			wire[i] = packPartition(nil, i, p)
+		}
+	}
 	return &PersistentSend{
 		rt: rt, src: src, dst: dst, env: env,
 		partitioned: partitioned,
-		wire:        make([][]byte, parts),
-		fired:       make([]bool, parts),
+		wire:        wire,
+		fired:       make([]bool, len(wire)),
 	}, nil
 }
 
@@ -350,28 +324,11 @@ func (rt *Runtime) RecvInitPartitioned(dst int, src envelope.Rank, tag envelope.
 }
 
 func (rt *Runtime) recvInit(dst int, stream envelope.Stream, src envelope.Rank, tag envelope.Tag, comm envelope.Comm, parts int, partitioned bool) (*PersistentRecv, error) {
-	if dst < 0 || dst >= rt.cluster.Size() {
-		return nil, fmt.Errorf("mpx: destination GPU %d outside [0,%d)", dst, rt.cluster.Size())
-	}
-	req := envelope.Request{Src: src, Tag: tag, Comm: comm, Stream: stream}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
 	rt.mu.Lock()
-	serr := rt.streamOpenLocked(dst, stream)
+	req, err := rt.admitRecvLocked(dst, stream, src, tag, comm)
 	rt.mu.Unlock()
-	if serr != nil {
-		return nil, serr
-	}
-	switch rt.cfg.Level {
-	case NoSourceWildcard, NoUnexpected:
-		if src == envelope.AnySource {
-			return nil, match.ErrSourceWildcard
-		}
-	case Unordered:
-		if req.HasWildcard() {
-			return nil, match.ErrWildcard
-		}
+	if err != nil {
+		return nil, err
 	}
 	if partitioned && req.HasWildcard() {
 		return nil, fmt.Errorf("mpx: partitioned receive requires a concrete tuple, got %v", req)

@@ -6,11 +6,21 @@ import (
 	"testing"
 
 	"simtmp/internal/envelope"
-	"simtmp/internal/match"
 )
 
 // drainOK drains the runtime and fails the test on error or
 // non-delivery.
+// startAll starts every handle in order, stopping at the first error
+// (MPI_Startall over a communication plan).
+func startAll(handles ...interface{ Start() error }) error {
+	for _, h := range handles {
+		if err := h.Start(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func drainOK(t *testing.T, rt *Runtime) {
 	t.Helper()
 	done, err := rt.Drain(10000)
@@ -102,7 +112,7 @@ func TestPersistentNoCacheModeMatchesResults(t *testing.T) {
 		var out []string
 		for i := 0; i < 4; i++ {
 			buf[2] = byte('0' + i)
-			if err := StartAll(pr, ps); err != nil {
+			if err := startAll(pr, ps); err != nil {
 				panic(err)
 			}
 			if done, err := rt.Drain(10000); err != nil || !done {
@@ -145,7 +155,7 @@ func TestPersistentInvalidationByPlainPost(t *testing.T) {
 
 	// Two iterations: sealed after the first, hit on the second.
 	for i := 0; i < 2; i++ {
-		if err := StartAll(pr, ps); err != nil {
+		if err := startAll(pr, ps); err != nil {
 			t.Fatal(err)
 		}
 		drainOK(t, rt)
@@ -211,7 +221,7 @@ func TestPersistentPartitioned(t *testing.T) {
 		t.Fatal("partition counts wrong")
 	}
 	for iter := 0; iter < 3; iter++ {
-		if err := StartAll(pr, ps); err != nil {
+		if err := startAll(pr, ps); err != nil {
 			t.Fatal(err)
 		}
 		// Fire partitions out of order: identity travels in the wire
@@ -244,7 +254,7 @@ func TestPersistentPartitioned(t *testing.T) {
 	if err := ps.Bind(1, []byte("BB")); err != nil {
 		t.Fatal(err)
 	}
-	if err := StartAll(pr, ps); err != nil {
+	if err := startAll(pr, ps); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -331,7 +341,7 @@ func TestPersistentPlainSendOnPartitionedTuple(t *testing.T) {
 	}
 	// Start clears the error and the channel remains usable.
 	ps, _ := rt.SendInitPartitioned(0, 1, 9, 0, [][]byte{[]byte("a"), []byte("b")})
-	if err := StartAll(pr, ps); err != nil {
+	if err := startAll(pr, ps); err != nil {
 		t.Fatal(err)
 	}
 	if err := pr.Err(); err != nil {
@@ -376,15 +386,8 @@ func TestPersistentWildcardChannelNeverSeals(t *testing.T) {
 	if st.CacheMisses != 3 {
 		t.Errorf("misses = %d, want 3", st.CacheMisses)
 	}
-	// Levels that prohibit the wildcard reject it at init.
-	rtU := New(Config{Level: Unordered, GPUs: 2})
-	if _, err := rtU.RecvInit(1, envelope.AnySource, 7, 0); !errors.Is(err, match.ErrWildcard) {
-		t.Errorf("Unordered RecvInit wildcard: %v", err)
-	}
-	rtN := New(Config{Level: NoSourceWildcard, GPUs: 2})
-	if _, err := rtN.RecvInit(1, envelope.AnySource, 7, 0); !errors.Is(err, match.ErrSourceWildcard) {
-		t.Errorf("NoSourceWildcard RecvInit: %v", err)
-	}
+	// Levels that prohibit the wildcard reject it at init: pinned for
+	// every receive verb by TestRecvVerbsShareAdmission.
 }
 
 func TestPersistentRecvMisuse(t *testing.T) {
@@ -474,7 +477,7 @@ func TestPersistentSameTupleChannelsOrdered(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		// prA starts before prB every iteration; same-flow sends keep
 		// wire order, so prA must always land "first".
-		if err := StartAll(prA, prB, psA, psB); err != nil {
+		if err := startAll(prA, prB, psA, psB); err != nil {
 			t.Fatal(err)
 		}
 		drainOK(t, rt)
@@ -499,7 +502,7 @@ func TestPersistentDrainCountsOpenIterations(t *testing.T) {
 	ps, _ := rt.SendInit(0, 1, 7, 0, []byte("x"))
 	pr, _ := rt.RecvInit(1, 0, 7, 0)
 	for i := 0; i < 2; i++ {
-		if err := StartAll(pr, ps); err != nil {
+		if err := startAll(pr, ps); err != nil {
 			t.Fatal(err)
 		}
 		drainOK(t, rt)

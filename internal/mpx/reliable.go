@@ -33,8 +33,6 @@ type Transport interface {
 	PutStream(dst int, env envelope.Envelope, payload []byte, seq, flow, sseq uint64) error
 	// Drain removes dst's arrived messages in wire order.
 	Drain(dst int) []gas.Message
-	// Pending returns dst's undrained depth.
-	Pending(dst int) int
 	// Idle reports whether the wire holds no undelivered frames.
 	Idle() bool
 	// Step advances wire-side time (delayed frames, pause rolls, …).
@@ -51,7 +49,6 @@ func (l lossless) PutStream(dst int, env envelope.Envelope, payload []byte, seq,
 	return l.c.PutStream(dst, env, payload, seq, flow, sseq)
 }
 func (l lossless) Drain(dst int) []gas.Message     { return l.c.Drain(dst) }
-func (l lossless) Pending(dst int) int             { return l.c.Pending(dst) }
 func (l lossless) Idle() bool                      { return l.c.Idle() }
 func (l lossless) Step()                           {}
 func (l lossless) DropAck(_, _ int, _ uint64) bool { return false }

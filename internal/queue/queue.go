@@ -39,10 +39,6 @@ func (q *Queue) Cap() int { return q.cap }
 // compacted).
 func (q *Queue) Len() int { return q.count }
 
-// Addr returns the global-memory word address of entry i, for kernel
-// access.
-func (q *Queue) Addr(i int) int { return q.base + i }
-
 // Push appends a packed header at the tail. It reports an error when
 // the queue is full — the flow-control condition a real receiver must
 // handle.
@@ -151,7 +147,7 @@ func (q *Queue) CompactHost() int {
 // cross-warp via a shared-memory scan by warp 0), and survivors are
 // scattered forward. Order is preserved. It returns the new length.
 //
-// The CTA's shared memory must hold at least NumWarps words.
+// The CTA's shared memory must hold at least one word per warp.
 func (q *Queue) Compact(cta *simt.CTA) int {
 	warps := cta.Warps()
 	tile := len(warps) * simt.LaneCount

@@ -244,7 +244,7 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	q.Push(packedEnv(1, 1))
 	// A header written past the logical count is a violation: the
 	// matching kernels scan [0, Len) and would silently miss it.
-	m.Store(q.Addr(5), packedEnv(9, 9))
+	m.Store(q.base+5, packedEnv(9, 9))
 	if err := q.Invariants(); err == nil {
 		t.Error("stray header past count not detected")
 	}

@@ -78,19 +78,6 @@ func (c *CTA) Warps() []*Warp { return c.warps }
 // Warp returns warp i.
 func (c *CTA) Warp(i int) *Warp { return c.warps[i] }
 
-// NumWarps returns the number of warps in the CTA.
-func (c *CTA) NumWarps() int { return len(c.warps) }
-
-// Threads returns the number of threads in the CTA (counting initially
-// active lanes).
-func (c *CTA) Threads() int {
-	n := 0
-	for _, w := range c.warps {
-		n += Popc(w.Active())
-	}
-	return n
-}
-
 // SyncThreads marks a CTA-wide barrier: every warp bills one sync
 // instruction. Kernel code already executes warps in program order, so
 // the barrier has no functional effect — only a timing one.

@@ -56,13 +56,6 @@ func (m *Memory) AtomicAdd(addr int, delta uint64) (prev uint64) {
 	return prev
 }
 
-// AtomicExch stores v at addr and returns the previous value.
-func (m *Memory) AtomicExch(addr int, v uint64) (prev uint64) {
-	prev = m.words[addr]
-	m.words[addr] = v
-	return prev
-}
-
 // Fill sets words [addr, addr+n) to v.
 func (m *Memory) Fill(addr, n int, v uint64) {
 	for i := 0; i < n; i++ {

@@ -186,10 +186,10 @@ func TestCTAResetMatchesFresh(t *testing.T) {
 	if used.Counters() != fresh.Counters() {
 		t.Fatalf("reset counters %+v != fresh %+v", used.Counters(), fresh.Counters())
 	}
-	if used.Threads() != fresh.Threads() {
-		t.Fatalf("reset threads %d != fresh %d", used.Threads(), fresh.Threads())
+	if len(used.Warps()) != len(fresh.Warps()) {
+		t.Fatalf("reset warps %d != fresh %d", len(used.Warps()), len(fresh.Warps()))
 	}
-	for i := 0; i < used.NumWarps(); i++ {
+	for i := range used.Warps() {
 		if used.Warp(i).Active() != fresh.Warp(i).Active() {
 			t.Fatalf("warp %d mask %#x != fresh %#x", i, used.Warp(i).Active(), fresh.Warp(i).Active())
 		}

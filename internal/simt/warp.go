@@ -24,9 +24,6 @@ func Ffs(x uint32) int {
 // Popc returns the number of set bits in x (CUDA __popc).
 func Popc(x uint32) int { return bits.OnesCount32(x) }
 
-// Clz returns the number of leading zeros in x (CUDA __clz).
-func Clz(x uint32) int { return bits.LeadingZeros32(x) }
-
 // LaneMask returns a mask with only the given lane's bit set.
 func LaneMask(lane int) uint32 { return 1 << uint(lane) }
 

@@ -37,16 +37,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
 }
 
-// LinearBuckets returns n ascending bounds start, start+width, … for
-// NewHistogram.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n ascending bounds start, start·factor, … for
 // NewHistogram (factor > 1).
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -100,9 +90,6 @@ func (h *Histogram) bucketOf(x float64) int {
 // N returns the number of observations.
 func (h *Histogram) N() uint64 { return h.n }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -116,10 +103,6 @@ func (h *Histogram) Min() float64 { return h.min }
 
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
-
-// Counts returns the per-bucket counts, the last entry being the
-// overflow bucket (shared storage; do not mutate).
-func (h *Histogram) Counts() []uint64 { return h.counts }
 
 // Quantile estimates the q-quantile (0..1) from the bucket counts. It
 // uses the same definition as the sample Quantile helper — the value

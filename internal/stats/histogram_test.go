@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// linearBounds returns n ascending bounds start, start+width, ….
+func linearBounds(start, width float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
+}
+
 func TestHistogramBucketing(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for _, x := range []float64{0.5, 1, 1.5, 2, 3, 4, 5, 100} {
@@ -15,7 +24,7 @@ func TestHistogramBucketing(t *testing.T) {
 	// (≤1): 0.5, 1 — (1,2]: 1.5, 2 — (2,4]: 3, 4 — overflow: 5, 100.
 	want := []uint64{2, 2, 2, 2}
 	for i, w := range want {
-		if got := h.Counts()[i]; got != w {
+		if got := h.counts[i]; got != w {
 			t.Errorf("bucket %d: count %d, want %d", i, got, w)
 		}
 	}
@@ -25,13 +34,13 @@ func TestHistogramBucketing(t *testing.T) {
 	if h.Min() != 0.5 || h.Max() != 100 {
 		t.Errorf("min/max = %v/%v, want 0.5/100", h.Min(), h.Max())
 	}
-	if got, want := h.Sum(), 0.5+1+1.5+2+3+4+5+100; got != want {
+	if got, want := h.sum, 0.5+1+1.5+2+3+4+5+100; got != want {
 		t.Errorf("Sum = %v, want %v", got, want)
 	}
 }
 
 func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram(LinearBuckets(1, 1, 64))
+	h := NewHistogram(linearBounds(1, 1, 64))
 	var xs []float64
 	for i := 0; i < 1000; i++ {
 		x := float64(i%50) + 0.5
@@ -102,7 +111,7 @@ func TestHistogramObserveNoAlloc(t *testing.T) {
 
 func TestHistogramSummaryMatchesP99(t *testing.T) {
 	var xs []float64
-	h := NewHistogram(LinearBuckets(0, 1, 128))
+	h := NewHistogram(linearBounds(0, 1, 128))
 	for i := 0; i < 500; i++ {
 		x := float64((i * 37) % 100)
 		xs = append(xs, x)

@@ -91,9 +91,6 @@ func (c *Counter) Add(key int) {
 	c.total++
 }
 
-// Distinct returns the number of distinct keys observed.
-func (c *Counter) Distinct() int { return len(c.counts) }
-
 // Total returns the number of observations.
 func (c *Counter) Total() int { return c.total }
 
@@ -112,16 +109,3 @@ func (c *Counter) MaxShare() float64 {
 	}
 	return float64(max) / float64(c.total)
 }
-
-// Keys returns the observed keys in ascending order.
-func (c *Counter) Keys() []int {
-	keys := make([]int, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Count returns the count for one key.
-func (c *Counter) Count(key int) int { return c.counts[key] }

@@ -7,16 +7,6 @@ import (
 	"io"
 )
 
-// Exporter renders recorded events and metric snapshots to a writer.
-// The three implementations cover the runtime's export paths —
-// PerfettoExporter (trace-event JSON), SummaryExporter (human-readable
-// digest) and StreamExporter (the same trace-event JSON written as
-// watermark-sized chunks, the one-shot form of the live Streamer). All
-// are deterministic: same inputs, same bytes.
-type Exporter interface {
-	Export(w io.Writer, evs []Event, m []Snapshot) error
-}
-
 const (
 	traceHeader = `{"displayTimeUnit":"ns","traceEvents":[`
 	traceFooter = "]}\n"
@@ -157,7 +147,7 @@ type StreamExporter struct {
 	OnChunk func(chunk []byte)
 }
 
-// Export implements Exporter.
+// Export writes evs as the chunked trace.
 func (x StreamExporter) Export(w io.Writer, evs []Event, _ []Snapshot) error {
 	wm := x.Watermark
 	if wm <= 0 {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,19 +11,18 @@ import (
 // Registry holds named metrics with preallocated storage. Metrics are
 // created (find-or-create by name) at setup time; the returned handles
 // are then updated on hot paths without any map access. Like the
-// Recorder, a nil *Registry is a valid no-op: Counter/Gauge/Histogram
+// Recorder, a nil *Registry is a valid no-op: Counter/Histogram
 // return nil handles whose update methods are nil-safe, so
 // instrumented code registers and updates unconditionally.
 //
-// Updates are race-safe without allocating — counters and gauges are
-// atomics, histograms take a mutex — so a supervisor goroutine may
+// Updates are race-safe without allocating — counters are atomics,
+// histograms take a mutex — so a supervisor goroutine may
 // call Snapshots (or Recorder.Snapshot) concurrently with the
 // runtime's hot-path updates. Determinism of exported values still
 // relies on the runtime driving all updates from one goroutine.
 type Registry struct {
 	mu         sync.Mutex
 	counters   []*Counter
-	gauges     []*Gauge
 	histograms []*Histogram
 }
 
@@ -32,12 +30,6 @@ type Registry struct {
 type Counter struct {
 	name string
 	v    atomic.Int64
-}
-
-// Gauge is a last-value float64 metric.
-type Gauge struct {
-	name string
-	bits atomic.Uint64 // math.Float64bits of the value
 }
 
 // Histogram is a named fixed-bucket distribution metric over a
@@ -64,23 +56,6 @@ func (g *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	g.counters = append(g.counters, c)
 	return c
-}
-
-// Gauge finds or creates the named gauge (nil on a nil registry).
-func (g *Registry) Gauge(name string) *Gauge {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, ga := range g.gauges {
-		if ga.name == name {
-			return ga
-		}
-	}
-	ga := &Gauge{name: name}
-	g.gauges = append(g.gauges, ga)
-	return ga
 }
 
 // Histogram finds or creates the named histogram with the given bucket
@@ -118,38 +93,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Set records the gauge value (no-op on nil). Never allocates.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the gauge value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Name returns the gauge name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
 // Observe records one sample (no-op on nil). Never allocates.
 func (h *Histogram) Observe(x float64) {
 	if h == nil {
@@ -172,28 +115,10 @@ func (h *Histogram) Reset() {
 	h.mu.Unlock()
 }
 
-// Summary derives the distribution summary (zero for nil).
-func (h *Histogram) Summary() stats.Summary {
-	if h == nil {
-		return stats.Summary{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Summary()
-}
-
-// Name returns the histogram name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Snapshot is one exported metric value.
 type Snapshot struct {
 	Name  string
-	Kind  string // "counter", "gauge", "histogram"
+	Kind  string // "counter", "histogram"
 	Value float64
 	Dist  stats.Summary // histograms only
 }
@@ -206,12 +131,9 @@ func (g *Registry) Snapshots() []Snapshot {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]Snapshot, 0, len(g.counters)+len(g.gauges)+len(g.histograms))
+	out := make([]Snapshot, 0, len(g.counters)+len(g.histograms))
 	for _, c := range g.counters {
 		out = append(out, Snapshot{Name: c.name, Kind: "counter", Value: float64(c.v.Load())})
-	}
-	for _, ga := range g.gauges {
-		out = append(out, Snapshot{Name: ga.name, Kind: "gauge", Value: math.Float64frombits(ga.bits.Load())})
 	}
 	for _, h := range g.histograms {
 		h.mu.Lock()

@@ -33,7 +33,7 @@ type PerfettoExporter struct {
 	TrackNames []string
 }
 
-// Export implements Exporter.
+// Export writes evs as one trace-event JSON document.
 func (x PerfettoExporter) Export(w io.Writer, evs []Event, _ []Snapshot) error {
 	e := newChunkEncoder(w, nil)
 	e.ensureHeader(x.TrackNames)

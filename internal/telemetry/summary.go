@@ -17,7 +17,7 @@ type SummaryExporter struct {
 	Dropped uint64
 }
 
-// Export implements Exporter.
+// Export writes the digest of evs and m.
 func (x SummaryExporter) Export(w io.Writer, evs []Event, m []Snapshot) error {
 	ntracks := len(x.TrackNames)
 	for _, ev := range evs {

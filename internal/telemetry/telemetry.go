@@ -1,8 +1,11 @@
 // Package telemetry is the runtime's observability plane: a typed
 // event model, a bounded per-track ring-buffer flight recorder, a
-// metrics registry (counters, gauges, fixed-bucket histograms), and a
-// unified Exporter family — Chrome/Perfetto trace-event JSON, a
-// human-readable summary, and chunked live streaming.
+// metrics registry (counters, fixed-bucket histograms), and three
+// exporters sharing one Export(w, events, metrics) signature —
+// PerfettoExporter (Chrome/Perfetto trace-event JSON), SummaryExporter
+// (a human-readable digest) and StreamExporter (the trace as
+// watermark-sized chunks, the one-shot form of the live Streamer). All
+// are deterministic: same inputs, same bytes.
 //
 // Two contracts shape the design:
 //
