@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"simtmp/internal/bench"
 	"simtmp/internal/conformance"
@@ -127,18 +128,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false, "run everything")
 	regress := fs.Bool("regress", false, "run the benchmark regression suite against the latest BENCH_*.json baseline")
 	regressDir := fs.String("regress.dir", ".", "directory holding BENCH_*.json baselines")
-	tolerance := fs.Float64("tolerance", 0.15, "relative tolerance for simulated-rate records under -regress")
 	regressWrite := fs.Bool("regress.write", false, "write a fresh BENCH_<date>.json baseline after the -regress run")
 	regressWall := fs.Bool("regress.wall", false, "also compare wall-clock records under -regress (host-dependent)")
 	soakRun := fs.Bool("soak", false, "run the open-loop traffic soak profiles (per-message latency SLOs)")
-	soakRegress := fs.Bool("soak.regress", false, "with -soak: compare the soak/* records against the latest BENCH_*.json baseline")
-	soakWrite := fs.Bool("soak.write", false, "with -soak: merge this run's soak/* records into the latest baseline as BENCH_<date>.json")
 	soakSeed := fs.Int64("soak.seed", 0, "with -soak: override the base seed (0 = the tracked default)")
 	soakMessages := fs.Int("soak.messages", 0, "with -soak: per-seed message count (0 = the tracked default)")
-	soakInflate := fs.Float64("soak.inflate", 1, "with -soak: multiply latency records (gate-validation hook; leave at 1)")
-	soakUncap := fs.Bool("soak.uncap", false, "with -soak: strip the overload profiles' queue caps (gate-validation hook; a capped baseline must fail)")
 	persistent := fs.Bool("persistent", false, "run the persistent-channel sweep (first-iteration cost, steady-state re-fire rate, cache hit rate)")
-	persistNoCache := fs.Bool("persist.nocache", false, "with -persistent or -regress: disable the seal cache (gate-validation hook; a cached baseline must fail)")
+	mutate := fs.String("mutate", "", "apply a gate-validation mutation: "+mutationHelp()+
+		"; -regress then exits 0 only if the family's records regress")
 	var trace telemetry.CLIFlags
 	trace.Register(fs)
 
@@ -150,19 +147,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	var mut bench.Mutation
+	if *mutate != "" {
+		var ok bool
+		if mut, ok = bench.LookupMutation(*mutate); !ok {
+			fmt.Fprintf(stderr, "matchbench: unknown -mutate family %q (want %s)\n", *mutate, mutationHelp())
+			return 2
+		}
+		if !*regress && !(*persistent && *mutate == bench.MutatePersist) && !(*soakRun && *mutate == bench.MutateSoak) {
+			fmt.Fprintf(stderr, "matchbench: -mutate=%s needs -regress or its own family's mode\n", *mutate)
+			return 2
+		}
+	}
 
 	if *regress {
-		return runRegress(stdout, stderr, *regressDir, *tolerance, *regressWrite, *regressWall, *persistNoCache)
+		return runRegress(stdout, stderr, *regressDir, *regressWrite, *regressWall, mut)
 	}
 	if *persistent {
-		return runPersistent(stdout, stderr, *csvOut, *persistNoCache)
+		return runPersistent(stdout, stderr, *csvOut, *mutate)
 	}
 	if *soakRun {
-		return runSoak(stdout, stderr, soakOpts{
-			csv: *csvOut, dir: *regressDir, tol: *tolerance,
-			seed: *soakSeed, messages: *soakMessages, inflate: *soakInflate,
-			uncap: *soakUncap, regress: *soakRegress, write: *soakWrite,
-		})
+		return runSoak(stdout, stderr, *csvOut, *soakSeed, *soakMessages, *mutate)
 	}
 	if trace.Active() {
 		return trace.Run(stdout, stderr, "matchbench", func(cfg telemetry.Config) (*telemetry.Recorder, error) {
@@ -191,16 +196,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// mutationHelp lists the -mutate families and what each breaks.
+func mutationHelp() string {
+	var parts []string
+	for _, m := range bench.Mutations {
+		parts = append(parts, m.Name+" ("+m.Effect+")")
+	}
+	return strings.Join(parts, ", ")
+}
+
 // runRegress executes the benchmark regression suite, compares it
 // against the latest committed baseline in dir, and optionally writes
 // the run as the new baseline. Exit codes: 0 clean, 1 regressions (or
-// a missing baseline without -regress.write).
-func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, persistNoCache bool) int {
-	if write && persistNoCache {
-		fmt.Fprintln(stderr, "matchbench: refusing to bless a nocache run as a baseline; drop -persist.nocache")
+// a missing baseline without -regress.write). Under a mutation (m is
+// not the zero Mutation) the run checks the gate instead: 0 when at
+// least one record of the mutated family regressed, 1 when none did;
+// other families' regressions are printed but do not count.
+func runRegress(stdout, stderr io.Writer, dir string, write, wall bool, m bench.Mutation) int {
+	if write && m.Name != "" {
+		fmt.Fprintf(stderr, "matchbench: refusing to bless a mutated run as a baseline; drop -mutate=%s\n", m.Name)
 		return 2
 	}
-	rep := bench.RunRegress(0, persistNoCache)
+	rep := bench.RunRegress(0, m.Name)
 	base, path, err := bench.LoadLatestBaseline(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		if !write {
@@ -219,8 +236,22 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	regs := bench.Compare(base, rep, tol, wall)
-	bench.PrintRegress(stdout, rep, path, tol, regs)
+	regs := bench.Compare(base, rep, bench.Tolerance, wall)
+	bench.PrintRegress(stdout, rep, path, regs)
+	if m.Name != "" {
+		tripped := 0
+		for _, r := range regs {
+			if strings.HasPrefix(r.Name, m.Prefix) {
+				tripped++
+			}
+		}
+		fmt.Fprintf(stdout, "mutate %s: %d %s* records regressed\n", m.Name, tripped, m.Prefix)
+		if tripped == 0 {
+			fmt.Fprintf(stderr, "matchbench: mutation %s moved no %s* record; that gate cannot fail\n", m.Name, m.Prefix)
+			return 1
+		}
+		return 0
+	}
 	if write {
 		p, werr := bench.WriteBaseline(dir, rep)
 		if werr != nil {
@@ -239,8 +270,8 @@ func runRegress(stdout, stderr io.Writer, dir string, tol float64, write, wall, 
 // -persistent mode: per iteration count, the first-iteration
 // (full-engine match + seal) cost, the steady-state O(1) re-fire rate,
 // the cache hit rate and the speedup over matching every iteration.
-func runPersistent(stdout, stderr io.Writer, csv, nocache bool) int {
-	rows, err := bench.PersistSweep(nocache)
+func runPersistent(stdout, stderr io.Writer, csv bool, mutate string) int {
+	rows, err := bench.PersistSweep(mutate)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
@@ -256,41 +287,20 @@ func runPersistent(stdout, stderr io.Writer, csv, nocache bool) int {
 	return 0
 }
 
-// soakOpts bundles the -soak.* flag surface.
-type soakOpts struct {
-	csv            bool
-	dir            string
-	tol            float64
-	seed           int64
-	messages       int
-	inflate        float64
-	uncap          bool
-	regress, write bool
-}
-
-// runSoak executes the tracked open-loop soak profiles, prints their
-// latency SLOs, and optionally compares (-soak.regress) or blesses
-// (-soak.write) the soak/* records against the latest BENCH_*.json
-// baseline. Exit codes: 0 clean, 1 on SLO regressions, a tripped
-// cross-seed spread budget, or run failure.
-func runSoak(stdout, stderr io.Writer, o soakOpts) int {
-	if (o.regress || o.write) && (o.seed != 0 || o.messages != 0) {
-		fmt.Fprintln(stderr, "matchbench: -soak.regress/-soak.write track the default profiles; drop -soak.seed/-soak.messages")
-		return 2
-	}
-	if o.write && o.uncap {
-		fmt.Fprintln(stderr, "matchbench: refusing to bless an uncapped run as a baseline; drop -soak.uncap")
-		return 2
-	}
-	results, err := bench.RunSoak(0, o.messages, o.seed, o.uncap)
+// runSoak executes the tracked open-loop soak profiles and prints
+// their latency SLOs; -regress gates the same soak/* records against
+// the baseline. seed and messages override the defaults for smoke
+// runs. Exit codes: 0 clean, 1 on a tripped cross-seed spread budget
+// or run failure.
+func runSoak(stdout, stderr io.Writer, csv bool, seed int64, messages int, mutate string) int {
+	results, err := bench.RunSoak(0, messages, seed, mutate)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchbench:", err)
 		return 1
 	}
-	recs := bench.SoakRecords(results, o.inflate)
 
-	if o.csv {
-		if err := bench.WriteCSV(stdout, recs); err != nil {
+	if csv {
+		if err := bench.WriteCSV(stdout, bench.SoakRecords(results)); err != nil {
 			fmt.Fprintln(stderr, "matchbench:", err)
 			return 1
 		}
@@ -306,7 +316,7 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 	// so only a default-configuration run is held to them; smoke runs
 	// with -soak.seed/-soak.messages just report their spread.
 	code := 0
-	if o.seed == 0 && o.messages == 0 {
+	if seed == 0 && messages == 0 {
 		for _, r := range results {
 			if !r.Suite.SpreadOK {
 				fmt.Fprintf(stderr, "matchbench: soak profile %s cross-seed spread %.1f%% exceeds its stability budget\n",
@@ -314,33 +324,6 @@ func runSoak(stdout, stderr io.Writer, o soakOpts) int {
 				code = 1
 			}
 		}
-	}
-
-	if o.regress {
-		base, path, err := bench.LoadLatestBaseline(o.dir)
-		if err != nil {
-			fmt.Fprintln(stderr, "matchbench:", err)
-			return 1
-		}
-		soakBase := bench.SoakOnlyBaseline(base)
-		if len(soakBase.Records) == 0 {
-			fmt.Fprintf(stderr, "matchbench: baseline %s has no soak/* records (rerun with -soak.write to add them)\n", path)
-			return 1
-		}
-		cur := bench.BenchReport{Records: recs}
-		regs := bench.Compare(soakBase, cur, o.tol, false)
-		bench.PrintRegress(stdout, cur, path, o.tol, regs)
-		if len(regs) > 0 {
-			code = 1
-		}
-	}
-	if o.write {
-		p, err := bench.MergeSoakBaseline(o.dir, recs)
-		if err != nil {
-			fmt.Fprintln(stderr, "matchbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "soak: wrote baseline %s (%d soak records)\n", p, len(recs))
 	}
 	return code
 }

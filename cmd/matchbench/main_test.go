@@ -241,48 +241,33 @@ func TestRunSoakCSV(t *testing.T) {
 	}
 }
 
-// TestRunSoakRegressGate is the acceptance path end to end: bless a
-// baseline, pass a clean comparison, then fail on an injected 2×
-// latency regression.
-func TestRunSoakRegressGate(t *testing.T) {
+// TestRunMutateUsage: -mutate takes only a family from the mutation
+// table, and a mutated run is never blessed — the refusal comes before
+// the suite runs, so nothing is written.
+func TestRunMutateUsage(t *testing.T) {
 	dir := t.TempDir()
-	var out, errOut strings.Builder
-	if code := run([]string{"-soak", "-soak.write", "-regress.dir", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("bless run exit %d, stderr: %s", code, errOut.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-regress", "-mutate=nosuch", "-regress.dir", dir}, "unknown -mutate family"},
+		{[]string{"-regress.write", "-regress", "-mutate=persist", "-regress.dir", dir}, "refusing to bless"},
+		{[]string{"-table2", "-mutate=soak"}, "needs -regress"},
+		{[]string{"-persistent", "-mutate=soak"}, "needs -regress"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit code %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errOut.String(), tc.want)
+		}
+		if out.String() != "" {
+			t.Errorf("%v: a refused run printed %q", tc.args, out.String())
+		}
 	}
-	if !strings.Contains(out.String(), "soak: wrote baseline") {
-		t.Fatalf("bless run did not write a baseline:\n%s", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-soak", "-soak.regress", "-regress.dir", dir}, &out, &errOut); code != 0 {
-		t.Fatalf("clean regress exit %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "regress: ok") {
-		t.Errorf("clean regress did not report ok:\n%s", out.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-soak", "-soak.regress", "-soak.inflate", "2", "-regress.dir", dir}, &out, &errOut); code != 1 {
-		t.Fatalf("injected 2x regression exit %d, want 1\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION: soak/steady/p99_us") {
-		t.Errorf("inflated run did not flag the p99 SLO:\n%s", out.String())
-	}
-}
-
-// TestRunSoakOverrideGuard: blessing or comparing with non-default
-// seed/messages is a usage error — the baseline tracks the default
-// profiles only.
-func TestRunSoakOverrideGuard(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-soak", "-soak.write", "-soak.seed", "5"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "default profiles") {
-		t.Errorf("guard message missing:\n%s", errOut.String())
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused runs left %d files in the baseline dir (err %v)", len(entries), err)
 	}
 }
 

@@ -409,7 +409,7 @@ func TestFigure6aHeadline(t *testing.T) {
 
 func TestFigure5OnAllArchesRuns(t *testing.T) {
 	for _, a := range arch.All() {
-		pts := Figure5On(a)
+		pts := figure5On(a, 0)
 		if len(pts) == 0 {
 			t.Errorf("%s: empty sweep", a.Name)
 		}

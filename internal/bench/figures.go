@@ -75,11 +75,9 @@ func Figure5() []Fig5Point { return Figure5Workers(0) }
 // Figure5Workers is Figure5 with an explicit host worker count.
 func Figure5Workers(workers int) []Fig5Point { return figure5On(arch.PascalGTX1080(), workers) }
 
-// Figure5On runs the Figure 5 sweep on an arbitrary architecture (the
+// figure5On runs the Figure 5 sweep on an arbitrary architecture (the
 // paper reports the GTX1080 curve plus average speedups of 2.12× over
 // the K80 and 1.56× over the M40).
-func Figure5On(a *arch.Arch) []Fig5Point { return figure5On(a, 0) }
-
 func figure5On(a *arch.Arch, workers int) []Fig5Point {
 	queues := []int{1, 2, 4, 8, 16, 32}
 	lengths := []int{512, 1024, 2048, 4096, 8192}

@@ -180,8 +180,8 @@ func (res *PersistResult) speedup(plainUs float64) {
 // PersistHalo runs the halo profile at one payload size: a persistent
 // run (first iteration metered separately, then steady state) against
 // a plain-post run on the same hash-engine runtime configuration.
-// nocache disables the seal cache on the persistent arm — the
-// gate-validation hook: hit rate and speedup must collapse.
+// nocache disables the seal cache on the persistent arm (the
+// MutatePersist mutation): hit rate and speedup must collapse.
 func PersistHalo(payload, iters int, nocache bool) (PersistResult, error) {
 	const gpus = 8
 	res := PersistResult{Profile: "halo", AllocsPerOp: -1}
@@ -332,9 +332,10 @@ func PersistChurn(iters int, nocache bool) (PersistResult, error) {
 }
 
 // RunPersistProfiles executes the three tracked persistent profiles.
-// nocache is the gate-validation hook mirroring -soak.uncap: it
-// disables the seal cache, which must make a blessed baseline fail.
-func RunPersistProfiles(nocache bool) ([]PersistResult, error) {
+// The MutatePersist mutation disables the seal cache, which must make
+// a blessed baseline fail.
+func RunPersistProfiles(mutate string) ([]PersistResult, error) {
+	nocache := mutate == MutatePersist
 	halo, err := PersistHalo(1024, persistIters, nocache)
 	if err != nil {
 		return nil, fmt.Errorf("bench: persist/halo: %w", err)
@@ -388,11 +389,12 @@ type PersistSweepPoint struct {
 // PersistSweep runs the halo profile across iteration counts — the
 // cmd/matchbench -persistent table: first-iteration (match + seal)
 // cost, steady-state re-fire rate and cache hit rate per count, plus
-// the amortized per-iteration cost showing the break-even.
-func PersistSweep(nocache bool) ([]PersistSweepPoint, error) {
+// the amortized per-iteration cost showing the break-even. The
+// MutatePersist mutation disables the seal cache.
+func PersistSweep(mutate string) ([]PersistSweepPoint, error) {
 	var out []PersistSweepPoint
 	for _, iters := range []int{2, 4, 8, 16, 32, 64} {
-		r, err := PersistHalo(1024, iters, nocache)
+		r, err := PersistHalo(1024, iters, mutate == MutatePersist)
 		if err != nil {
 			return nil, fmt.Errorf("bench: persist sweep iters %d: %w", iters, err)
 		}

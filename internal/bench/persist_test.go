@@ -63,37 +63,20 @@ func TestPersistChurn(t *testing.T) {
 	}
 }
 
-// TestPersistNoCacheTripsGate: the gate-validation hook. A run with
-// the cache disabled must regress against a cached baseline — this is
-// what CI's nocache step asserts end to end.
+// TestPersistNoCacheTripsGate: a run with the cache disabled
+// (matchbench -regress -mutate=persist) must regress against a cached
+// baseline — this is what CI's mutate=persist step asserts end to end.
 func TestPersistNoCacheTripsGate(t *testing.T) {
-	cached, err := RunPersistProfiles(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nocache, err := RunPersistProfiles(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := BenchReport{Records: PersistRecords(cached)}
-	cur := BenchReport{Records: PersistRecords(nocache)}
-	regs := Compare(base, cur, 0.15, false)
-	if len(regs) == 0 {
-		t.Fatal("disabling the cache did not trip the regression gate")
-	}
-	tripped := map[string]bool{}
-	for _, r := range regs {
-		tripped[r.Name] = true
-	}
+	tripped := mutationRegressions(t, MutatePersist)
 	for _, want := range []string{"persist/halo/hit_rate", "persist/halo/refire_speedup"} {
 		if !tripped[want] {
-			t.Errorf("nocache run did not trip %s (tripped: %v)", want, regs)
+			t.Errorf("nocache run did not trip %s (tripped: %v)", want, tripped)
 		}
 	}
 }
 
 func TestPersistSweep(t *testing.T) {
-	rows, err := PersistSweep(false)
+	rows, err := PersistSweep("")
 	if err != nil {
 		t.Fatal(err)
 	}

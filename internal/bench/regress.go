@@ -2,9 +2,10 @@
 // headline benchmarks (Figures 4, 5, 6b and Table II) plus host-side
 // micro-benchmarks of the three GPU engines, emits a dated JSON
 // baseline, and compares a fresh run against the last committed
-// baseline with a configurable tolerance. cmd/matchbench exposes it as
-// -regress; CI runs it on every push so simulated-rate or allocation
-// regressions fail the build instead of landing silently.
+// baseline at a fixed tolerance. cmd/matchbench exposes it as -regress;
+// CI runs it on every push so simulated-rate or allocation regressions
+// fail the build instead of landing silently. The Mutations table
+// proves, family by family, that those gates can fail.
 package bench
 
 import (
@@ -80,11 +81,56 @@ func (r *BenchReport) fingerprint() {
 	}
 }
 
-// RunRegress executes the tracked benchmark suite. persistNoCache
-// is the persistent-channel gate-validation hook: it disables the seal
-// cache for the persist/* profiles, which must fail a comparison
-// against a blessed baseline (hit rate and re-fire speedup collapse).
-func RunRegress(workers int, persistNoCache bool) BenchReport {
+// Tolerance is the relative worsening -regress allows a sim or wall
+// record before it counts as a regression.
+const Tolerance = 0.15
+
+// Gate-validation mutation names: the -mutate values.
+const (
+	MutateSoak    = "soak"
+	MutatePersist = "persist"
+)
+
+// Mutation breaks the feature one record family guards, so that a
+// comparison against a blessed baseline can prove the family's gate
+// fails. records runs the family's tracked profiles; it applies the
+// mutation only when handed the family's own name, so RunRegress can
+// pass one name to every family.
+type Mutation struct {
+	Name    string // the -mutate value
+	Prefix  string // the records the mutation must trip
+	Effect  string // what it breaks
+	records func(workers int, mutate string) ([]BenchRecord, error)
+}
+
+// Mutations is the gate-validation table, in RunRegress record order.
+var Mutations = []Mutation{
+	{MutateSoak, "soak/", "strip the overload profiles' queue caps",
+		func(workers int, mutate string) ([]BenchRecord, error) {
+			res, err := RunSoak(workers, 0, 0, mutate)
+			return SoakRecords(res), err
+		}},
+	{MutatePersist, "persist/", "disable the persistent seal cache",
+		func(_ int, mutate string) ([]BenchRecord, error) {
+			res, err := RunPersistProfiles(mutate)
+			return PersistRecords(res), err
+		}},
+}
+
+// LookupMutation returns the named entry of Mutations.
+func LookupMutation(name string) (Mutation, bool) {
+	for _, m := range Mutations {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Mutation{}, false
+}
+
+// RunRegress executes the tracked benchmark suite. mutate names a
+// Mutations entry to apply to its family's profiles, or is empty for
+// the real run that baselines are blessed from.
+func RunRegress(workers int, mutate string) BenchReport {
 	rep := BenchReport{
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -129,22 +175,17 @@ func RunRegress(workers int, persistNoCache bool) BenchReport {
 	// contract and must stay exactly zero.
 	add(hostBenchmarks()...)
 
-	// Open-loop soak SLOs: deterministic latency quantiles under load.
-	// An error here is a driver or model bug, not a measurement failure
-	// — same contract as the host-benchmark warmup above.
-	soaks, err := RunSoak(workers, 0, 0, false)
-	if err != nil {
-		panic(fmt.Sprintf("bench: regress soak: %v", err))
+	// Mutation-guarded families: open-loop soak SLOs, then the
+	// persistent-channel profiles (DESIGN.md §13–§15). An error here is
+	// a driver or model bug, not a measurement failure — same contract
+	// as the host-benchmark warmup above.
+	for _, m := range Mutations {
+		recs, err := m.records(workers, mutate)
+		if err != nil {
+			panic(fmt.Sprintf("bench: regress %s: %v", m.Name, err))
+		}
+		add(recs...)
 	}
-	add(SoakRecords(soaks, 1)...)
-
-	// Persistent-channel profiles: the seal cache's re-fire speedup,
-	// hit rate and zero-alloc contract (DESIGN.md §15).
-	persists, err := RunPersistProfiles(persistNoCache)
-	if err != nil {
-		panic(fmt.Sprintf("bench: regress persist: %v", err))
-	}
-	add(PersistRecords(persists)...)
 	return rep
 }
 
@@ -340,10 +381,10 @@ func LoadLatestBaseline(dir string) (BenchReport, string, error) {
 	return rep, path, nil
 }
 
-// PrintRegress renders the comparison outcome.
-func PrintRegress(w io.Writer, cur BenchReport, basePath string, tol float64, regs []Regression) {
+// PrintRegress renders the outcome of a comparison at Tolerance.
+func PrintRegress(w io.Writer, cur BenchReport, basePath string, regs []Regression) {
 	fmt.Fprintf(w, "regress: %d records vs baseline %s (tolerance %.0f%%)\n",
-		len(cur.Records), basePath, tol*100)
+		len(cur.Records), basePath, Tolerance*100)
 	for _, r := range regs {
 		fmt.Fprintf(w, "REGRESSION: %s\n", r)
 	}

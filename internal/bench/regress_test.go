@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -137,4 +138,36 @@ func TestBaselineRoundtrip(t *testing.T) {
 	if len(got.Records) != 1 || got.Records[0] != cur.Records[0] {
 		t.Errorf("records roundtrip mismatch: %+v", got.Records)
 	}
+}
+
+// mutationRegressions runs the named Mutations entry's family clean
+// and mutated, and returns the records the mutated run regressed at
+// Tolerance. It fails t if the mutation moved nothing, or moved a
+// record outside its own family.
+func mutationRegressions(t *testing.T, name string) map[string]bool {
+	t.Helper()
+	m, ok := LookupMutation(name)
+	if !ok {
+		t.Fatalf("no mutation %q", name)
+	}
+	clean, err := m.records(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated, err := m.records(0, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := Compare(BenchReport{Records: clean}, BenchReport{Records: mutated}, Tolerance, false)
+	if len(regs) == 0 {
+		t.Fatalf("mutation %s tripped no record", name)
+	}
+	flagged := map[string]bool{}
+	for _, r := range regs {
+		if !strings.HasPrefix(r.Name, m.Prefix) {
+			t.Errorf("mutation %s regressed %s, outside its %s family", name, r.Name, m.Prefix)
+		}
+		flagged[r.Name] = true
+	}
+	return flagged
 }

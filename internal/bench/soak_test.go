@@ -10,7 +10,7 @@ import (
 // in this file (the pipeline is deterministic, so reuse is sound).
 func soakOnce(t *testing.T) []SoakResult {
 	t.Helper()
-	res, err := RunSoak(0, 0, 0, false)
+	res, err := RunSoak(0, 0, 0, "")
 	if err != nil {
 		t.Fatalf("RunSoak: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestSoakRecordsShape(t *testing.T) {
 	if len(res) != 7 {
 		t.Fatalf("profiles = %d, want 7", len(res))
 	}
-	recs := SoakRecords(res, 1)
+	recs := SoakRecords(res)
 	// 6 per profile, plus caps_ok+shed_total for each overload profile
 	// and recovery_ok+recovery_s for the two rate-excursion profiles.
 	if len(recs) != 52 {
@@ -103,20 +103,11 @@ func TestSoakRecordsShape(t *testing.T) {
 }
 
 // TestSoakUncapFailsGate is the overload acceptance check: stripping
-// the queue caps (matchbench -soak.uncap) must fail the comparison
-// against a capped baseline — residency peaks explode past tolerance
-// and the shed records vanish or zero out.
+// the queue caps (matchbench -regress -mutate=soak) must fail the
+// comparison against a capped baseline — residency peaks explode past
+// tolerance and the shed records vanish or zero out.
 func TestSoakUncapFailsGate(t *testing.T) {
-	base := BenchReport{Records: SoakRecords(soakOnce(t), 1)}
-	uncapped, err := RunSoak(0, 0, 0, true)
-	if err != nil {
-		t.Fatalf("RunSoak uncapped: %v", err)
-	}
-	regs := Compare(base, BenchReport{Records: SoakRecords(uncapped, 1)}, 0.15, false)
-	flagged := map[string]bool{}
-	for _, r := range regs {
-		flagged[r.Name] = true
-	}
+	flagged := mutationRegressions(t, MutateSoak)
 	for _, name := range []string{
 		"soak/overload/1.5x/shed_total",
 		"soak/overload/2x/shed_total",
@@ -127,9 +118,9 @@ func TestSoakUncapFailsGate(t *testing.T) {
 			t.Errorf("uncapped run did not regress %s", name)
 		}
 	}
-	for _, r := range regs {
-		if !strings.HasPrefix(r.Name, "soak/overload/") {
-			t.Errorf("uncapping regressed non-overload record %s", r.Name)
+	for name := range flagged {
+		if !strings.HasPrefix(name, "soak/overload/") {
+			t.Errorf("uncapping regressed non-overload record %s", name)
 		}
 	}
 }
@@ -139,13 +130,18 @@ func TestSoakUncapFailsGate(t *testing.T) {
 // comparison on every latency record, while an unchanged run passes.
 func TestSoakInjectedRegression(t *testing.T) {
 	res := soakOnce(t)
-	base := BenchReport{Records: SoakRecords(res, 1)}
+	base := BenchReport{Records: SoakRecords(res)}
 
-	if regs := Compare(base, BenchReport{Records: SoakRecords(res, 1)}, 0.15, false); len(regs) != 0 {
+	if regs := Compare(base, BenchReport{Records: SoakRecords(res)}, 0.15, false); len(regs) != 0 {
 		t.Fatalf("identical soak run flagged: %v", regs)
 	}
 
-	cur := BenchReport{Records: SoakRecords(res, 2)} // injected 2× SLO regression
+	cur := BenchReport{Records: SoakRecords(res)}
+	for i := range cur.Records {
+		if cur.Records[i].Unit == "us" {
+			cur.Records[i].Value *= 2 // injected 2× SLO regression
+		}
+	}
 	regs := Compare(base, cur, 0.15, false)
 	flagged := map[string]bool{}
 	for _, r := range regs {
@@ -168,8 +164,8 @@ func TestSoakInjectedRegression(t *testing.T) {
 // against a baseline that recorded 1.
 func TestSoakSpreadGateTripsCompare(t *testing.T) {
 	res := soakOnce(t)
-	base := BenchReport{Records: SoakRecords(res, 1)}
-	cur := BenchReport{Records: SoakRecords(res, 1)}
+	base := BenchReport{Records: SoakRecords(res)}
+	cur := BenchReport{Records: SoakRecords(res)}
 	for i := range cur.Records {
 		if cur.Records[i].Name == "soak/steady/seed_spread_ok" {
 			cur.Records[i].Value = 0
@@ -184,8 +180,8 @@ func TestSoakSpreadGateTripsCompare(t *testing.T) {
 // TestSoakRecordsDeterministic: two full soak executions emit identical
 // record sets — the property the committed baseline depends on.
 func TestSoakRecordsDeterministic(t *testing.T) {
-	a := SoakRecords(soakOnce(t), 1)
-	b := SoakRecords(soakOnce(t), 1)
+	a := SoakRecords(soakOnce(t))
+	b := SoakRecords(soakOnce(t))
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
