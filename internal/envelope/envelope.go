@@ -310,6 +310,25 @@ func MatchesPacked(req, env uint64) bool {
 	return true
 }
 
+// MatchKey splits MatchesPacked for scans that test one request
+// against many envelopes: env matches req iff env&mask == want. The
+// mask covers the valid bit, communicator, stream, and the source and
+// tag unless the request wildcards them; an invalid request yields a
+// key that no word satisfies.
+func MatchKey(req uint64) (want, mask uint64) {
+	if req&validBit == 0 {
+		return validBit, 0
+	}
+	mask = validBit | commMask64<<commShift | streamMask64<<streamShift
+	if req&anySrcBit == 0 {
+		mask |= srcMask64 << srcShift
+	}
+	if req&anyTagBit == 0 {
+		mask |= tagMask64 << tagShift
+	}
+	return req & mask, mask
+}
+
 // StreamOf extracts the stream id from a packed header without a full
 // unpack — the field the stream-concurrent matcher partitions on.
 func StreamOf(w uint64) Stream {

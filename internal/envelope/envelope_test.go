@@ -185,6 +185,39 @@ func TestMatchesPackedInvalid(t *testing.T) {
 	}
 }
 
+// TestMatchKeyAgreesWithMatchesPacked checks the split predicate on
+// arbitrary raw words (valid or not, wildcard bits set on either side)
+// and on packed headers that collide half the time.
+func TestMatchKeyAgreesWithMatchesPacked(t *testing.T) {
+	agree := func(req, env uint64) bool {
+		want, mask := MatchKey(req)
+		return (env&mask == want) == MatchesPacked(req, env)
+	}
+	raw := func(req, env uint64, flags uint8) bool {
+		if flags&1 != 0 {
+			env = req ^ uint64(flags>>1)<<(flags%64)
+		}
+		return agree(req, env) && agree(req, 0) && agree(0, env)
+	}
+	if err := quick.Check(raw, nil); err != nil {
+		t.Error(err)
+	}
+	packed := func(src, rsrc uint16, tag, rtag uint8, comm, stream, flags uint8) bool {
+		e := Envelope{Src: Rank(src % 4), Tag: Tag(tag % 4), Comm: Comm(comm % 2), Stream: Stream(stream % 2)}
+		r := Request{Src: Rank(rsrc % 4), Tag: Tag(rtag % 4), Comm: Comm(comm % 2), Stream: Stream((stream >> 4) % 2)}
+		if flags&1 != 0 {
+			r.Src = AnySource
+		}
+		if flags&2 != 0 {
+			r.Tag = AnyTag
+		}
+		return agree(r.Pack(), e.Pack()) && agree(r.Pack(), Seal(e.Pack()))
+	}
+	if err := quick.Check(packed, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPackPanicsOnInvalid(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {

@@ -453,7 +453,7 @@ func (h *HashMatcher) stagePrimary(wi int) {
 	w.LoadGlobal(s.ph.keysMem,
 		func(lane int) int { return ws.ids[lane] },
 		func(lane int, v uint64) { ws.keys[lane] = v })
-	w.Exec(h.cost, func(lane int) {}) // hash evaluation
+	w.Issue(h.cost) // hash evaluation
 	if s.ph.insert {
 		ws.prim = w.StageCAS(ws.prim[:0],
 			func(lane int) int { return h.primarySlot(ws.keys[lane], s.ph.primSize) },
@@ -593,7 +593,7 @@ func (h *HashMatcher) insertProbePhase(mem *simt.Memory, primSize int, primIdx [
 		w.LoadGlobal(keysMem,
 			func(lane int) int { return ids[lane] },
 			func(lane int, v uint64) { keys[lane] = v })
-		w.Exec(h.cost, func(lane int) {}) // hash evaluation
+		w.Issue(h.cost) // hash evaluation
 
 		// Home-slot attempt (unmasked), then bounded probing.
 		var done [simt.LaneCount]bool
@@ -643,7 +643,7 @@ func (h *HashMatcher) probeLinearPhase(mem *simt.Memory, primSize int, primIdx [
 		w.LoadGlobal(keysMem,
 			func(lane int) int { return ids[lane] },
 			func(lane int, v uint64) { keys[lane] = v })
-		w.Exec(h.cost, func(lane int) {}) // hash evaluation
+		w.Issue(h.cost) // hash evaluation
 
 		var matched [simt.LaneCount]bool
 		for step := 0; step < maxProbe; step++ {

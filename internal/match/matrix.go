@@ -102,6 +102,15 @@ type matrixScratch struct {
 	waveCycles []float64
 	ctas       simt.CTACache
 
+	// fused is the single warp of the small-queue path.
+	fused struct {
+		warp   *simt.Warp
+		ctrs   simt.Counters
+		shared *simt.Memory
+	}
+	// compactQ is the compaction kernel's queue.
+	compactQ *queue.Queue
+
 	// scan carries the per-window state of the parallel scan so the
 	// worker body can be one persistent method value: a fresh closure
 	// per window would escape to the heap (ParallelFor hands it to
@@ -254,39 +263,34 @@ func (m *MatrixMatcher) MatchInto(res *Result, msgs []envelope.Envelope, reqs []
 // linear multi-SM scaling of §VI-A), CTAs within a wave run
 // concurrently: the longest dominates and the others add a small
 // interference term (they compete for issue slots and the memory
-// pipeline but their dependent chains run on different warps).
+// pipeline but their dependent chains run on different warps). CTA i
+// runs on SM i mod SMs.
 func (m *MatrixMatcher) combineWaves(ctaCycles []float64, occ int) float64 {
 	sms := m.cfg.SMs
-	if sms <= 1 {
-		return serializeWaves(ctaCycles, occ)
-	}
 	if sms > m.cfg.Arch.SMCount {
 		sms = m.cfg.Arch.SMCount
 	}
-	buckets := make([][]float64, sms)
-	for i, c := range ctaCycles {
-		buckets[i%sms] = append(buckets[i%sms], c)
+	if sms < 1 {
+		sms = 1
 	}
 	worst := 0.0
-	for _, b := range buckets {
-		if t := serializeWaves(b, occ); t > worst {
+	for sm := 0; sm < sms; sm++ {
+		if t := serializeWaves(ctaCycles, sm, sms, occ); t > worst {
 			worst = t
 		}
 	}
 	return worst
 }
 
-// serializeWaves runs one SM's CTA list in occupancy-sized waves.
-func serializeWaves(ctaCycles []float64, occ int) float64 {
+// serializeWaves runs one SM's CTAs — ctaCycles[first], then every
+// step-th after it — in occupancy-sized waves.
+func serializeWaves(ctaCycles []float64, first, step, occ int) float64 {
 	const interference = 0.25
 	total := 0.0
-	for start := 0; start < len(ctaCycles); start += occ {
-		end := start + occ
-		if end > len(ctaCycles) {
-			end = len(ctaCycles)
-		}
+	for start := first; start < len(ctaCycles); start += occ * step {
 		max, sum := 0.0, 0.0
-		for _, c := range ctaCycles[start:end] {
+		for i, k := start, 0; i < len(ctaCycles) && k < occ; i, k = i+step, k+1 {
+			c := ctaCycles[i]
 			sum += c
 			if c > max {
 				max = c
@@ -327,13 +331,11 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	for i := range msgRegs {
 		msgRegs[i] = [simt.LaneCount]uint64{}
 	}
+	gmsgs, greqs := globalOf(msgs), globalOf(reqs)
 	for wi, w := range warps {
 		start := blockStart + wi*simt.LaneCount
-		valid := w.Ballot(func(lane int) bool { return start+lane < blockEnd })
-		w.WithMask(valid, func() {
-			w.LoadGlobal(globalOf(msgs), func(lane int) int { return start + lane },
-				func(lane int, v uint64) { msgRegs[wi][lane] = v })
-		})
+		valid := w.Vote(simt.PrefixMask(blockEnd - start))
+		w.WithMask(valid, func() { w.LoadGlobalSpan(gmsgs, start, &msgRegs[wi]) })
 	}
 	loadCtrs := cta.Counters()
 	cta.ResetCounters()
@@ -350,6 +352,7 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 
 	var scanCtrs, reduceCtrs simt.Counters
 	matchedInBlock := 0
+	reqBase := simt.MaxWarpsPerCTA * stride
 
 	windows := 0
 	for wStart := 0; wStart < len(reqs) && matchedInBlock < blockLen; wStart += window {
@@ -363,14 +366,11 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// loads by the first warps).
 		for off := 0; off < wEnd-wStart; off += simt.LaneCount {
 			w := warps[(off/simt.LaneCount)%len(warps)]
-			inWin := w.Ballot(func(lane int) bool { return wStart+off+lane < wEnd })
+			inWin := w.Vote(simt.PrefixMask(wEnd - wStart - off))
 			w.WithMask(inWin, func() {
 				var tmp [simt.LaneCount]uint64
-				w.LoadGlobal(globalOf(reqs), func(lane int) int { return wStart + off + lane },
-					func(lane int, v uint64) { tmp[lane] = v })
-				w.StoreShared(cta.Shared, func(lane int) int {
-					return simt.MaxWarpsPerCTA*stride + off + lane
-				}, func(lane int) uint64 { return tmp[lane] })
+				w.LoadGlobalSpan(greqs, wStart+off, &tmp)
+				w.StoreSharedSpan(cta.Shared, reqBase+off, &tmp)
 			})
 		}
 		cta.SyncThreads()
@@ -396,24 +396,24 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// Reduce (Algorithm 2): warp 0, lane l owning matrix row l,
 		// resolves each column to the earliest unclaimed message.
 		w0 := warps[0]
-		rowMask := simt.FullMask >> uint(simt.LaneCount-min(msgWarps, simt.LaneCount))
+		rowMask := simt.PrefixMask(msgWarps)
 		for i := wStart; i < wEnd; i++ {
 			col := i - wStart
 			// Skip columns already claimed by an earlier CTA or round.
-			w0.Exec(1, func(lane int) {})
+			w0.Issue(1)
 			if assign[i] != NoMatch {
 				continue
 			}
-			var colVotes [simt.LaneCount]uint32
-			w0.WithMask(rowMask, func() {
-				w0.LoadShared(cta.Shared,
-					func(lane int) int { return lane*stride + col },
-					func(lane int, v uint64) { colVotes[lane] = uint32(v) })
-			})
-			w0.Exec(1, func(lane int) {}) // vote & mask
-			bidders := w0.Ballot(func(lane int) bool {
-				return lane < msgWarps && colVotes[lane]&masks[lane] != 0
-			})
+			var colVotes [simt.LaneCount]uint64
+			w0.WithMask(rowMask, func() { w0.LoadSharedStride(cta.Shared, col, stride, &colVotes) })
+			w0.Issue(1) // vote & mask
+			var bid uint32
+			for lane := 0; lane < msgWarps; lane++ {
+				if uint32(colVotes[lane])&masks[lane] != 0 {
+					bid |= simt.LaneMask(lane)
+				}
+			}
+			bidders := w0.Vote(bid)
 			if bidders == 0 {
 				continue
 			}
@@ -421,21 +421,19 @@ func (m *MatrixMatcher) matchBlock(msgs, reqs []uint64, blockStart, blockEnd int
 			// set bit within its masked vote.
 			winner := simt.Ffs(bidders) - 1
 			w0.WithMask(simt.LaneMask(winner), func() {
-				w0.Exec(3, func(lane int) {}) // ffs, mask clear, index math
-				bit := simt.Ffs(colVotes[winner]&masks[winner]) - 1
+				w0.Issue(3) // ffs, mask clear, index math
+				bit := simt.Ffs(uint32(colVotes[winner])&masks[winner]) - 1
 				masks[winner] &^= 1 << uint(bit)
 				assign[i] = blockStart + winner*simt.LaneCount + bit
 				matchedInBlock++
-				w0.StoreShared(cta.Shared,
-					func(lane int) int { return winner*stride + col },
-					func(lane int) uint64 { return uint64(assign[i]) })
+				w0.StoreSharedWord(cta.Shared, winner*stride+col, uint64(assign[i]))
 			})
 			// Early exit: once every message of the block is claimed
 			// the remaining columns cannot match here (§V-B: this is
 			// why a reversed receive queue degrades performance while
 			// an ordered one does not).
 			if matchedInBlock == blockLen {
-				w0.Exec(1, func(lane int) {})
+				w0.Issue(1)
 				break
 			}
 		}
@@ -457,21 +455,28 @@ func (m *MatrixMatcher) scanWarp(wi int) {
 	w := sc.warps[wi]
 	cta, stride := sc.cta, sc.stride
 	regs := &m.scratch.msgRegs[wi]
+	reqBase := simt.MaxWarpsPerCTA * stride
 	for i := sc.wStart; i < sc.wEnd; i++ {
 		col := i - sc.wStart
-		var req uint64
-		w.LoadShared(cta.Shared,
-			func(lane int) int { return simt.MaxWarpsPerCTA*stride + col },
-			func(lane int, v uint64) { req = v })
-		var vote uint32
-		w.Exec(2, func(lane int) {}) // header compare ALU work
-		vote = w.Ballot(func(lane int) bool {
-			return regs[lane] != 0 && envelope.MatchesPacked(req, regs[lane])
-		})
-		w.StoreShared(cta.Shared,
-			func(lane int) int { return wi*stride + col },
-			func(lane int) uint64 { return uint64(vote) })
+		req := w.LoadSharedWord(cta.Shared, reqBase+col)
+		w.Issue(2) // header compare ALU work
+		vote := w.Vote(voteBits(req, regs))
+		w.StoreSharedWord(cta.Shared, wi*stride+col, uint64(vote))
 	}
+}
+
+// voteBits evaluates one request against a warp's message registers
+// word-parallel: bit l is set iff lane l holds a message that matches
+// req (an empty register, 0, matches nothing).
+func voteBits(req uint64, regs *[simt.LaneCount]uint64) uint32 {
+	want, mask := envelope.MatchKey(req)
+	var bits uint32
+	for lane, v := range regs {
+		if v&mask == want {
+			bits |= simt.LaneMask(lane)
+		}
+	}
+	return bits
 }
 
 // blockCycles combines the scan and reduce phases of one CTA: when the
@@ -495,25 +500,31 @@ func (m *MatrixMatcher) blockCycles(scan, reduce simt.Counters, msgWarps, window
 
 // fusedBlock is the small-queue path: a single warp both votes and
 // resolves each request without materializing a matrix. Each lane holds
-// up to two messages (blocks of at most 64).
+// up to two messages (blocks of at most 64). The warp needs no CTA: it
+// bills a private counter sink and stages requests through a private
+// 32-word shared buffer.
 func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int, assign Assignment) (float64, simt.Counters) {
 	blockLen := blockEnd - blockStart
-	cta := m.scratch.ctas.Get(0, simt.LaneCount, simt.LaneCount)
-	w := cta.Warp(0)
+	f := &m.scratch.fused
+	if f.warp == nil {
+		f.warp = simt.NewWarp(0, &f.ctrs)
+		f.shared = simt.NewMemory(simt.LaneCount)
+	}
+	f.ctrs = simt.Counters{}
+	w := f.warp
+	gmsgs, greqs := globalOf(msgs), globalOf(reqs)
 
+	// Lanes past the block clamp their address to blockStart and drop
+	// the word. For the first 32 messages that address lies inside the
+	// span, so the load touches exactly the in-block span and is billed
+	// as the stride-1 load of the in-block lanes. For the second 32 it
+	// lies outside: an irregular access, left to the per-lane load.
 	var lo, hi [simt.LaneCount]uint64
-	w.LoadGlobal(globalOf(msgs), func(lane int) int {
-		if blockStart+lane < blockEnd {
-			return blockStart + lane
-		}
-		return blockStart
-	}, func(lane int, v uint64) {
-		if blockStart+lane < blockEnd {
-			lo[lane] = v
-		}
-	})
+	w.SetActive(simt.PrefixMask(blockLen))
+	w.LoadGlobalSpan(gmsgs, blockStart, &lo)
+	w.SetActive(simt.FullMask)
 	if blockLen > simt.LaneCount {
-		w.LoadGlobal(globalOf(msgs), func(lane int) int {
+		w.LoadGlobal(gmsgs, func(lane int) int {
 			if blockStart+simt.LaneCount+lane < blockEnd {
 				return blockStart + simt.LaneCount + lane
 			}
@@ -526,6 +537,7 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 	}
 	maskLo, maskHi := simt.FullMask, simt.FullMask
 	matched := 0
+	var zero [simt.LaneCount]uint64
 
 	for i := range reqs {
 		if matched == blockLen {
@@ -537,70 +549,62 @@ func (m *MatrixMatcher) fusedBlock(msgs, reqs []uint64, blockStart, blockEnd int
 		// is not dramatically faster than the matrix (Figure 4 is
 		// roughly flat across queue lengths).
 		if i%simt.LaneCount == 0 {
-			w.LoadGlobal(globalOf(reqs), func(lane int) int {
-				if i+lane < len(reqs) {
-					return i + lane
-				}
-				return i
-			}, func(lane int, v uint64) {})
-			w.StoreShared(cta.Shared, func(lane int) int { return lane }, func(lane int) uint64 { return 0 })
+			w.SetActive(simt.PrefixMask(len(reqs) - i)) // clamped like the message loads
+			w.LoadGlobalSpan(greqs, i, nil)
+			w.SetActive(simt.FullMask)
+			w.StoreSharedSpan(f.shared, 0, &zero)
 		}
-		w.LoadShared(cta.Shared, func(lane int) int { return i % simt.LaneCount }, func(lane int, v uint64) {})
-		w.Exec(2, func(lane int) {})
+		w.LoadSharedWord(f.shared, i%simt.LaneCount)
+		w.Issue(2)
 		if assign[i] != NoMatch {
 			continue
 		}
 		req := reqs[i]
-		w.Exec(2, func(lane int) {}) // compares
-		voteLo := w.Ballot(func(lane int) bool {
-			return maskLo&simt.LaneMask(lane) != 0 && lo[lane] != 0 && envelope.MatchesPacked(req, lo[lane])
-		})
-		if voteLo != 0 {
-			bit := simt.Ffs(voteLo) - 1
-			w.WithMask(simt.LaneMask(bit), func() {
-				w.Exec(2, func(lane int) {})
-				maskLo &^= 1 << uint(bit)
-				assign[i] = blockStart + bit
-				matched++
-			})
+		w.Issue(2) // compares
+		if vote := w.Vote(voteBits(req, &lo) & maskLo); vote != 0 {
+			bit := simt.Ffs(vote) - 1
+			w.WithMask(simt.LaneMask(bit), func() { w.Issue(2) })
+			maskLo &^= 1 << uint(bit)
+			assign[i] = blockStart + bit
+			matched++
 			continue
 		}
 		if blockLen <= simt.LaneCount {
 			continue
 		}
-		voteHi := w.Ballot(func(lane int) bool {
-			return maskHi&simt.LaneMask(lane) != 0 && hi[lane] != 0 && envelope.MatchesPacked(req, hi[lane])
-		})
-		if voteHi != 0 {
-			bit := simt.Ffs(voteHi) - 1
-			w.WithMask(simt.LaneMask(bit), func() {
-				w.Exec(2, func(lane int) {})
-				maskHi &^= 1 << uint(bit)
-				assign[i] = blockStart + simt.LaneCount + bit
-				matched++
-			})
+		if vote := w.Vote(voteBits(req, &hi) & maskHi); vote != 0 {
+			bit := simt.Ffs(vote) - 1
+			w.WithMask(simt.LaneMask(bit), func() { w.Issue(2) })
+			maskHi &^= 1 << uint(bit)
+			assign[i] = blockStart + simt.LaneCount + bit
+			matched++
 		}
 	}
-	ctrs := cta.Counters()
-	cycles := m.model.PhaseCycles(timing.Phase{Kind: timing.Dependent, Ctrs: ctrs})
-	return cycles, ctrs
+	cycles := m.model.PhaseCycles(timing.Phase{Kind: timing.Dependent, Ctrs: f.ctrs})
+	return cycles, f.ctrs
 }
 
 // compactionCycles runs the stream-compaction kernel over a message
 // queue holding the unmatched residue and returns its cycle cost (the
-// step the paper measures at roughly 10% of the matching rate).
+// step the paper measures at roughly 10% of the matching rate). The
+// queue, its memory and the CTA are matcher scratch, reused across
+// calls.
 func (m *MatrixMatcher) compactionCycles(msgs []uint64, assign Assignment) float64 {
-	mem := simt.NewMemory(len(msgs) + 1)
-	q := queue.New(mem, 0, len(msgs))
+	q := m.scratch.compactQ
+	if q == nil || q.Cap() < len(msgs) {
+		q = queue.New(simt.NewMemory(len(msgs)+1), 0, len(msgs))
+		m.scratch.compactQ = q
+	}
+	q.Reset()
 	for _, w := range msgs {
-		q.Push(w) //nolint:errcheck // capacity is exact
+		q.Push(w) //nolint:errcheck // capacity suffices
 	}
 	for _, mi := range assign {
 		if mi != NoMatch {
 			q.Clear(mi)
 		}
 	}
-	cta := simt.NewCTA(0, 1024, simt.MaxWarpsPerCTA)
+	cta := m.scratch.ctas.Get(0, 1024, simt.MaxWarpsPerCTA)
 	q.Compact(cta)
 	// Both the message and the request queue are compacted; beyond the
 	// header prefix-scan, full descriptors move and head/tail pointers

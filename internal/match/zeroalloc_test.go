@@ -8,13 +8,17 @@ import (
 	"simtmp/internal/workload"
 )
 
-// reusableCases builds steady-state MatchInto cases per GPU engine:
-// default configurations (no compaction, sequential workers) on
+// reusableCases builds steady-state MatchInto cases per GPU engine on
 // representative workloads, each both telemetry-disabled (nil
 // recorder) and telemetry-enabled with a small ring that wraps within
-// warm-up. Both are the configurations the zero-allocation contract
-// covers: a full flight-recorder ring overwrites in place, so enabling
-// telemetry must not reintroduce steady-state allocations.
+// warm-up: a full flight-recorder ring overwrites in place, so enabling
+// telemetry must not reintroduce steady-state allocations. Beside the
+// default configurations, the cases cover the compaction kernel
+// (Compact: true, the mode the runtime uses), multi-SM wave combining
+// (SMs: 4) and explicit host parallelism (Workers: 2). The last matters
+// because testing.AllocsPerRun pins GOMAXPROCS to 1, so Workers: 0
+// resolves to the sequential loop and never reaches the ParallelFor
+// helpers.
 func reusableCases() []struct {
 	name string
 	m    ReusableMatcher
@@ -58,6 +62,39 @@ func reusableCases() []struct {
 				return m.MatchInto(res, uniqMsgs, uniqReqs)
 			}})
 		}
+	}
+	matrix := func(name string, cfg MatrixConfig) {
+		cfg.Arch = a
+		m := NewMatrixMatcher(cfg)
+		cases = append(cases, c{name, m, func(res *Result) error {
+			return m.MatchInto(res, fullMsgs, fullReqs)
+		}})
+	}
+	partitioned := func(name string, cfg PartitionedConfig) {
+		cfg.Arch, cfg.Queues, cfg.MaxCTAs = a, 8, 2
+		m := NewPartitionedMatcher(cfg)
+		cases = append(cases, c{name, m, func(res *Result) error {
+			return m.MatchInto(res, partMsgs, partReqs)
+		}})
+	}
+	matrix("matrix+compact", MatrixConfig{Compact: true})
+	matrix("matrix+workers2", MatrixConfig{Workers: 2})
+	matrix("matrix+compact+workers2", MatrixConfig{Compact: true, Workers: 2})
+	// 4096 messages over 4 CTAs per round, one per SM.
+	bigMsgs, bigReqs := workload.FullyMatching(4096, 1)
+	{
+		m := NewMatrixMatcher(MatrixConfig{Arch: a, MaxCTAs: 4, SMs: 4})
+		cases = append(cases, c{"matrix+sms4", m, func(res *Result) error {
+			return m.MatchInto(res, bigMsgs, bigReqs)
+		}})
+	}
+	partitioned("partitioned+compact", PartitionedConfig{Compact: true})
+	partitioned("partitioned+workers2", PartitionedConfig{Workers: 2})
+	{
+		m := MustHashMatcher(HashConfig{Arch: a, CTAs: 4, Workers: 2})
+		cases = append(cases, c{"hash+workers2", m, func(res *Result) error {
+			return m.MatchInto(res, uniqMsgs, uniqReqs)
+		}})
 	}
 	return cases
 }

@@ -9,6 +9,7 @@ package queue
 
 import (
 	"fmt"
+	"math/bits"
 
 	"simtmp/internal/simt"
 )
@@ -146,73 +147,69 @@ func (q *Queue) CompactHost() int {
 // popcount prefix sums produce scatter offsets (warp-local via ballot,
 // cross-warp via a shared-memory scan by warp 0), and survivors are
 // scattered forward. Order is preserved. It returns the new length.
+// Every access is a regular shape (stride-1 tile loads, a stride-1
+// offset store, dense scatters), so the kernel runs on the
+// callback-free warp primitives and allocates nothing.
 //
 // The CTA's shared memory must hold at least one word per warp.
 func (q *Queue) Compact(cta *simt.CTA) int {
 	warps := cta.Warps()
-	tile := len(warps) * simt.LaneCount
+	nw := len(warps)
+	if cta.Shared.Len() < nw {
+		panic(fmt.Sprintf("queue: compaction CTA has %d shared words for %d warps", cta.Shared.Len(), nw))
+	}
+	tile := nw * simt.LaneCount
+	// Per-lane loaded words and keep masks, indexed [warp][lane]. Only
+	// the lanes a tile loads are read back, so the buffers need no
+	// clearing between tiles.
+	var (
+		words       [simt.MaxWarpsPerCTA][simt.LaneCount]uint64
+		masks       [simt.MaxWarpsPerCTA]uint32
+		warpOffsets [simt.LaneCount]uint64
+	)
 	writeBase := 0
 	for tileStart := 0; tileStart < q.count; tileStart += tile {
-		// Per-lane loaded words and keep masks, indexed [warp][lane].
-		words := make([][simt.LaneCount]uint64, len(warps))
-		masks := make([]uint32, len(warps))
-
 		for wi, w := range warps {
 			start := tileStart + wi*simt.LaneCount
-			inRange := func(lane int) bool { return start+lane < q.count }
-			valid := w.Ballot(inRange)
-			w.WithMask(valid, func() {
-				w.LoadGlobal(q.mem,
-					func(lane int) int { return q.base + start + lane },
-					func(lane int, v uint64) { words[wi][lane] = v })
-			})
-			masks[wi] = w.Ballot(func(lane int) bool {
-				return inRange(lane) && words[wi][lane] != 0
-			})
+			valid := w.Vote(simt.PrefixMask(q.count - start))
+			w.WithMask(valid, func() { w.LoadGlobalSpan(q.mem, q.base+start, &words[wi]) })
+			var keep uint32
+			for a := valid; a != 0; a &= a - 1 {
+				lane := bits.TrailingZeros32(a)
+				if words[wi][lane] != 0 {
+					keep |= simt.LaneMask(lane)
+				}
+			}
+			masks[wi] = w.Vote(keep)
 		}
 		cta.SyncThreads()
 
 		// Warp 0 computes exclusive prefix sums of per-warp keep counts
 		// in shared memory (a ≤32-element scan: one warp suffices).
 		w0 := warps[0]
-		nw := len(warps)
-		warpOffsets := make([]int, nw)
-		w0.WithMask(simt.FullMask>>(uint(simt.LaneCount-min(nw, simt.LaneCount))), func() {
-			w0.Exec(2, func(lane int) {
-				if lane < nw {
-					sum := 0
-					for i := 0; i < lane; i++ {
-						sum += simt.Popc(masks[i])
-					}
-					warpOffsets[lane] = sum
-				}
-			})
-			if cta.Shared.Len() > 0 {
-				w0.StoreShared(cta.Shared,
-					func(lane int) int { return lane % cta.Shared.Len() },
-					func(lane int) uint64 { return uint64(warpOffsets[lane]) })
+		w0.WithMask(simt.PrefixMask(nw), func() {
+			w0.Issue(2)
+			sum := 0
+			for wi := 0; wi < nw; wi++ {
+				warpOffsets[wi] = uint64(sum)
+				sum += simt.Popc(masks[wi])
 			}
+			w0.StoreSharedSpan(cta.Shared, 0, &warpOffsets)
 		})
 		cta.SyncThreads()
 
 		// Scatter survivors: lane offset = warp offset + popc of lower
-		// keep bits (the ballot-prefix idiom).
+		// keep bits (the ballot-prefix idiom), a dense span per warp.
 		for wi, w := range warps {
-			mask := masks[wi]
-			w.WithMask(mask, func() {
-				w.Exec(2, func(lane int) {}) // offset computation (popc + add)
-				w.StoreGlobal(q.mem,
-					func(lane int) int {
-						prefix := simt.Popc(mask & (simt.LaneMask(lane) - 1))
-						return q.base + writeBase + warpOffsets[wi] + prefix
-					},
-					func(lane int) uint64 { return words[wi][lane] })
+			w.WithMask(masks[wi], func() {
+				w.Issue(2) // offset computation (popc + add)
+				w.StoreGlobalDense(q.mem, q.base+writeBase+int(warpOffsets[wi]), &words[wi])
 			})
 		}
 		cta.SyncThreads()
 
 		kept := 0
-		for _, m := range masks {
+		for _, m := range masks[:nw] {
 			kept += simt.Popc(m)
 		}
 		writeBase += kept
@@ -220,11 +217,4 @@ func (q *Queue) Compact(cta *simt.CTA) int {
 	q.mem.Fill(q.base+writeBase, q.count-writeBase, 0)
 	q.count = writeBase
 	return writeBase
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

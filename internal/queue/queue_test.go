@@ -2,6 +2,7 @@ package queue
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -292,4 +293,129 @@ func TestCompactSIMTConservesLive(t *testing.T) {
 			t.Fatalf("trial %d (n=%d live=%d): %v", trial, n, live, err)
 		}
 	}
+}
+
+// compactPerLane is the compaction kernel as it was written on the
+// per-lane warp primitives (callbacks for every address and predicate,
+// per-tile buffers on the heap). It is the reference that Compact's
+// shaped primitives must reproduce: same queue, same counters.
+func compactPerLane(q *Queue, cta *simt.CTA) int {
+	warps := cta.Warps()
+	tile := len(warps) * simt.LaneCount
+	writeBase := 0
+	for tileStart := 0; tileStart < q.count; tileStart += tile {
+		words := make([][simt.LaneCount]uint64, len(warps))
+		masks := make([]uint32, len(warps))
+		for wi, w := range warps {
+			start := tileStart + wi*simt.LaneCount
+			inRange := func(lane int) bool { return start+lane < q.count }
+			valid := w.Ballot(inRange)
+			w.WithMask(valid, func() {
+				w.LoadGlobal(q.mem,
+					func(lane int) int { return q.base + start + lane },
+					func(lane int, v uint64) { words[wi][lane] = v })
+			})
+			masks[wi] = w.Ballot(func(lane int) bool {
+				return inRange(lane) && words[wi][lane] != 0
+			})
+		}
+		cta.SyncThreads()
+
+		w0 := warps[0]
+		nw := len(warps)
+		warpOffsets := make([]int, nw)
+		w0.WithMask(simt.FullMask>>(uint(simt.LaneCount-min(nw, simt.LaneCount))), func() {
+			w0.Exec(2, func(lane int) {
+				if lane < nw {
+					sum := 0
+					for i := 0; i < lane; i++ {
+						sum += simt.Popc(masks[i])
+					}
+					warpOffsets[lane] = sum
+				}
+			})
+			if cta.Shared.Len() > 0 {
+				w0.StoreShared(cta.Shared,
+					func(lane int) int { return lane % cta.Shared.Len() },
+					func(lane int) uint64 { return uint64(warpOffsets[lane]) })
+			}
+		})
+		cta.SyncThreads()
+
+		for wi, w := range warps {
+			mask := masks[wi]
+			w.WithMask(mask, func() {
+				w.Exec(2, func(lane int) {})
+				w.StoreGlobal(q.mem,
+					func(lane int) int {
+						prefix := simt.Popc(mask & (simt.LaneMask(lane) - 1))
+						return q.base + writeBase + warpOffsets[wi] + prefix
+					},
+					func(lane int) uint64 { return words[wi][lane] })
+			})
+		}
+		cta.SyncThreads()
+
+		kept := 0
+		for _, m := range masks {
+			kept += simt.Popc(m)
+		}
+		writeBase += kept
+	}
+	q.mem.Fill(q.base+writeBase, q.count-writeBase, 0)
+	q.count = writeBase
+	return writeBase
+}
+
+// TestCompactMatchesPerLaneKernel runs Compact and the per-lane
+// reference on twin queues with random bubbles, across queue lengths
+// around warp and tile boundaries and across CTA shapes (a full CTA,
+// a partial last warp, a single warp), and requires identical queues,
+// shared memory and counters.
+func TestCompactMatchesPerLaneKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := []struct{ threads, shared int }{{1024, 32}, {96, 16}, {40, 2}, {32, 1}}
+	for _, n := range []int{0, 1, 31, 32, 33, 1023, 1024, 1025, 2500} {
+		for _, sh := range shapes {
+			for _, density := range []float64{0, 0.1, 0.5, 0.9, 1} {
+				const base = 5
+				ma, mb := simt.NewMemory(n+base+3), simt.NewMemory(n+base+3)
+				qa, qb := New(ma, base, n), New(mb, base, n)
+				for i := 0; i < n; i++ {
+					v := uint64(i) + 1
+					qa.Push(v) //nolint:errcheck
+					qb.Push(v) //nolint:errcheck
+					if rng.Float64() >= density {
+						qa.Clear(i)
+						qb.Clear(i)
+					}
+				}
+				ca, cb := simt.NewCTA(0, sh.threads, sh.shared), simt.NewCTA(0, sh.threads, sh.shared)
+				na, nb := qa.Compact(ca), compactPerLane(qb, cb)
+				if na != nb || qa.Len() != qb.Len() {
+					t.Fatalf("n=%d cta=%v density=%v: Compact kept %d, per-lane %d", n, sh, density, na, nb)
+				}
+				if ca.Counters() != cb.Counters() {
+					t.Fatalf("n=%d cta=%v density=%v: counters differ\nshaped   %+v\nper-lane %+v",
+						n, sh, density, ca.Counters(), cb.Counters())
+				}
+				if !slices.Equal(ma.Slice(0, ma.Len()), mb.Slice(0, mb.Len())) {
+					t.Fatalf("n=%d cta=%v density=%v: queue memories differ", n, sh, density)
+				}
+				if !slices.Equal(ca.Shared.Slice(0, sh.shared), cb.Shared.Slice(0, sh.shared)) {
+					t.Fatalf("n=%d cta=%v density=%v: shared memories differ", n, sh, density)
+				}
+			}
+		}
+	}
+}
+
+func TestCompactRejectsUndersizedShared(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Compact with fewer shared words than warps did not panic")
+		}
+	}()
+	q := New(simt.NewMemory(8), 0, 8)
+	q.Compact(simt.NewCTA(0, 64, 1))
 }

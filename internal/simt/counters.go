@@ -4,10 +4,13 @@
 // (ballot, shuffle, ffs/clz/popc), CTAs of up to 32 warps with shared
 // memory and barriers, and devices with word-addressed global memory.
 //
-// Kernels are expressed in warp-synchronous style: per-lane computation
-// is supplied as callbacks that the warp applies to its active lanes,
-// and every primitive bills the warp-instruction counters that the
-// timing model (internal/timing) converts into per-architecture cycles.
+// Kernels are expressed in warp-synchronous style, and every primitive
+// bills the warp-instruction counters that the timing model
+// (internal/timing) converts into per-architecture cycles. Regular work
+// uses callback-free primitives that bill from the shape of the access
+// (Issue, Vote, the span/broadcast/stride memory operations); irregular
+// per-lane computation is supplied as callbacks that the warp applies
+// to its active lanes.
 // Functional execution is sequential and deterministic; concurrency is
 // modeled analytically from the counters, never from goroutine
 // scheduling, so results are exactly reproducible.

@@ -1,7 +1,9 @@
 package simt
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,6 +42,88 @@ func TestParallelForPanicPropagates(t *testing.T) {
 	})
 }
 
+// TestParallelForFirstPanicInIterationOrder makes several iterations
+// panic and requires the lowest one to be re-raised, whichever worker
+// ran it.
+func TestParallelForFirstPanicInIterationOrder(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		func() {
+			defer func() {
+				if s, _ := recover().(string); !strings.Contains(s, "iteration 11 panicked: boom 11") {
+					t.Fatalf("trial %d: got panic %q, want iteration 11", trial, s)
+				}
+			}()
+			ParallelFor(64, 4, func(i int) {
+				if i == 11 || i == 12 || i == 40 || i == 63 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
+			})
+		}()
+	}
+	// The pool survives panicking iterations.
+	var hits atomic.Int32
+	ParallelFor(100, 4, func(int) { hits.Add(1) })
+	if hits.Load() != 100 {
+		t.Fatalf("after panics: %d iterations ran, want 100", hits.Load())
+	}
+}
+
+// TestParallelForSurvivesGoexit ends iterations with runtime.Goexit,
+// as t.FailNow does: whichever goroutine ran them, the call must not
+// hang, and later calls must still cover every iteration.
+func TestParallelForSurvivesGoexit(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ParallelFor(32, 2, func(i int) {
+				if i%8 == 3 {
+					runtime.Goexit()
+				}
+			})
+		}()
+		<-done
+	}
+	var hits atomic.Int32
+	ParallelFor(100, 2, func(int) { hits.Add(1) })
+	if hits.Load() != 100 {
+		t.Fatalf("after Goexit: %d iterations ran, want 100", hits.Load())
+	}
+}
+
+// TestParallelForNested runs ParallelFor inside ParallelFor iterations,
+// deeper than the helper pool is wide: inner calls that find no idle
+// helper run on their caller, so every level completes.
+func TestParallelForNested(t *testing.T) {
+	const outer, inner = 16, 16
+	var hits [outer * inner * 4]atomic.Int32
+	ParallelFor(outer, 4, func(i int) {
+		ParallelFor(inner, 4, func(j int) {
+			ParallelFor(4, 2, func(k int) { hits[(i*inner+j)*4+k].Add(1) })
+		})
+	})
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("iteration %d ran %d times, want 1", i, got)
+		}
+	}
+}
+
+// TestParallelForWarmDoesNotAllocate checks the steady state the
+// engines rely on: once the helpers exist, a call with a persistent fn
+// allocates nothing. Explicit workers matter here, because AllocsPerRun
+// pins GOMAXPROCS to 1 and workers <= 0 would resolve to the plain loop.
+func TestParallelForWarmDoesNotAllocate(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(i int) { sum.Add(int64(i)) }
+	for _, workers := range []int{2, 4} {
+		ParallelFor(64, workers, fn) // start the helpers
+		if allocs := testing.AllocsPerRun(100, func() { ParallelFor(64, workers, fn) }); allocs != 0 {
+			t.Errorf("workers=%d: ParallelFor allocates %.1f per call, want 0", workers, allocs)
+		}
+	}
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if Workers(1) != 1 || Workers(5) != 5 {
 		t.Fatal("explicit worker counts must pass through")
@@ -59,7 +143,7 @@ func countingKernel(seed int64) (Kernel, int) {
 		base := c.ID * perCTA
 		for _, w := range c.Warps() {
 			mix := rng.Uint64()
-			w.Exec(2, func(lane int) {})
+			w.Issue(2)
 			vote := w.Ballot(func(lane int) bool { return mix>>uint(lane)&1 == 1 })
 			w.StoreShared(c.Shared, func(lane int) int { return lane % 8 }, func(lane int) uint64 { return mix })
 			w.LoadShared(c.Shared, func(lane int) int { return lane % 8 }, func(lane int, v uint64) {})

@@ -27,10 +27,25 @@ func Popc(x uint32) int { return bits.OnesCount32(x) }
 // LaneMask returns a mask with only the given lane's bit set.
 func LaneMask(lane int) uint32 { return 1 << uint(lane) }
 
-// Warp is a group of 32 lanes executing in lock step. All per-lane
-// computation is expressed as callbacks invoked for each active lane;
-// each primitive bills the warp's instruction counters exactly once
-// regardless of how many lanes are active (SIMT issue semantics).
+// PrefixMask returns the mask of lanes [0, n), clamped to the warp:
+// 0 for n <= 0 and FullMask for n >= 32.
+func PrefixMask(n int) uint32 {
+	switch {
+	case n <= 0:
+		return 0
+	case n >= LaneCount:
+		return FullMask
+	}
+	return FullMask >> uint(LaneCount-n)
+}
+
+// Warp is a group of 32 lanes executing in lock step. Each primitive
+// bills the warp's instruction counters exactly once regardless of how
+// many lanes are active (SIMT issue semantics). Irregular per-lane work
+// is expressed as callbacks invoked for each active lane; regular work
+// uses the callback-free primitives (Issue, Vote and the shaped memory
+// operations of shape.go), which bill the same counters from the shape
+// of the access.
 type Warp struct {
 	// ID is the warp index within its CTA.
 	ID     int
@@ -77,11 +92,26 @@ func (w *Warp) forEachActive(f func(lane int)) {
 // Use it for register-to-register computation; n should approximate the
 // number of machine instructions the lane body compiles to.
 func (w *Warp) Exec(n int, f func(lane int)) {
+	w.Issue(n)
+	w.forEachActive(f)
+}
+
+// Issue bills n ALU instructions without running any lane code: the
+// callback-free form of Exec for kernels whose register work the host
+// has already done (or that has no functional effect).
+func (w *Warp) Issue(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("simt: negative instruction count %d", n))
 	}
 	w.ctrs.ALU += uint64(n)
-	w.forEachActive(f)
+}
+
+// Vote is the callback-free Ballot: bits holds every lane's predicate,
+// computed by the host in a plain loop, and Vote bills one ballot and
+// returns bits restricted to the active lanes.
+func (w *Warp) Vote(bits uint32) uint32 {
+	w.ctrs.Ballot++
+	return bits & w.active
 }
 
 // Ballot evaluates pred on every active lane and returns the 32-bit
